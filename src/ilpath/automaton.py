@@ -3,7 +3,9 @@
 States are pairs of a bit and an m-vector of residues; reading a variable
 symbol adds its column, reading 'b' (once) subtracts the right-hand side.
 A word that drives the residues back to zero with the bit set spells out a
-solution in unary, so feasibility is plain state reachability.  The same
+solution in unary, so feasibility is plain state reachability.  The search
+runs on the Steinitz residue bounds, inside which every solution has an
+accepted word; the paper's wider bounds size the exported machine.  The same
 machine also prints as a linear-size guarded-command program (BP-v1) whose
 target-location reachability gives the identical verdict.
 """
@@ -25,11 +27,14 @@ from ilpath.instance import (
 from ilpath.decomposition import REDUCE, ScheduleTrace
 
 FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"  # within the residue bounds; see check_feasible
+INFEASIBLE = "infeasible"  # no solution exists; see check_feasible
 INCONCLUSIVE = "inconclusive"
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
+
+# the residue bound check_feasible decides on; see steinitz_bounds
+BOUND_RULE = "steinitz: d * max(max|a_j|, |b_j|), d = min(m, n+1)"
 
 DEFAULT_MULTIPLIER = 2
 DEFAULT_MAX_STATES = 5_000_000
@@ -43,15 +48,42 @@ class StateLimitExceeded(IlpError):
 def residue_bounds(inst: IlpInstance, multiplier: int = DEFAULT_MULTIPLIER) -> tuple[int, ...]:
     """Per-constraint residue bound ``multiplier * (n+1) * max(max|a_j|, |b_j|)``.
 
-    The ``n+1`` factor makes room for the right-hand-side column, so every
+    This is the paper's construction, which sizes `CounterAutomaton`,
+    `schedule_to_word`, `export_automaton` and `emit_boolean_program`.  The
+    ``n+1`` factor makes room for the right-hand-side column, so every
     solution keeps a bounded run at the default multiplier.  Residues are
-    signed; the bound caps their absolute value.
+    signed; the bound caps their absolute value.  For any multiplier it
+    contains `steinitz_bounds`, on which `check_feasible` decides.
     """
     if multiplier < 1:
         raise IlpError("multiplier must be at least 1")
     n = inst.num_vars
     return tuple(
         multiplier * (n + 1) * max(inst.max_abs_coeff(j), abs(inst.rhs[j - 1]))
+        for j in range(1, inst.num_constraints + 1)
+    )
+
+
+def _steinitz_d(inst: IlpInstance) -> int:
+    """``d = min(m, n+1)``: the columns of ``[A | b]`` span at most this many
+    dimensions, so the Steinitz lemma applies with this constant."""
+    return min(inst.num_constraints, inst.num_vars + 1)
+
+
+def steinitz_bounds(inst: IlpInstance) -> tuple[int, ...]:
+    """Per-constraint residue bound ``d * max(max|a_j|, |b_j|)``, ``d = min(m, n+1)``.
+
+    Scale row ``j`` by ``M_j = max(max|a_j|, |b_j|)`` (rows with ``M_j = 0``
+    get bound 0).  For a solution ``x``, the ``sum(x)`` columns it uses plus
+    the single ``-b`` vector then have infinity norm at most 1 and sum to 0,
+    and they live in a space of dimension at most ``d``.  By the Steinitz
+    lemma (Grinberg and Sevastyanov, 1980) some order of them keeps every
+    partial sum within norm ``d``, so every solution has an accepted word
+    with ``|r_j| <= d * M_j``.  That bound never exceeds `residue_bounds`.
+    """
+    d = _steinitz_d(inst)
+    return tuple(
+        d * max(inst.max_abs_coeff(j), abs(inst.rhs[j - 1]))
         for j in range(1, inst.num_constraints + 1)
     )
 
@@ -123,42 +155,50 @@ def step(inst: IlpInstance, state, symbol: str, multiplier: int = DEFAULT_MULTIP
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of the reachability search.
+    """Outcome of the reachability search on the Steinitz bounds.
 
-    ``infeasible`` means no accepting state is reachable within the residue
-    bounds; ``inconclusive`` means the state budget ran out first.  The
-    witness, when present, is a shortest accepted word (ties broken by
-    symbol order: variables in declaration order, then 'b').
+    ``bounds`` are `steinitz_bounds` with constant ``d = min(m, n+1)``.  By
+    the Steinitz lemma every solution has an accepted word inside them, so
+    ``infeasible`` means ``A x = b`` has no solution ``x >= 0``;
+    ``inconclusive`` means the state budget ran out first.  The witness, when
+    present, is a shortest accepted word (ties broken by symbol order:
+    variables in declaration order, then 'b'); its length is
+    ``1 + min sum(x)`` over all solutions.
     """
 
     status: str
     witness: tuple[str, ...] | None
     states_explored: int
     bounds: tuple[int, ...]
-    multiplier: int
+    d: int
 
     def __bool__(self) -> bool:
         return self.status == FEASIBLE
 
 
 def check_feasible(
-    inst: IlpInstance,
-    multiplier: int = DEFAULT_MULTIPLIER,
-    max_states: int = DEFAULT_MAX_STATES,
+    inst: IlpInstance, *, max_states: int = DEFAULT_MAX_STATES
 ) -> FeasibilityResult:
-    """Decide feasibility by breadth-first reachability."""
+    """Decide feasibility by breadth-first reachability on `steinitz_bounds`.
+
+    The Steinitz lemma puts an accepted word of every solution inside those
+    bounds, so the verdict is exact: ``feasible`` with a shortest witness,
+    ``infeasible`` when no solution exists, or ``inconclusive`` when more
+    than ``max_states`` states were discovered.
+    """
     columns = [inst.column(i) for i in range(1, inst.num_vars + 1)]
-    bounds = residue_bounds(inst, multiplier)
+    bounds = steinitz_bounds(inst)
+    d = _steinitz_d(inst)
     status, path, states = _kernels.automaton_reach(
         columns, inst.rhs, bounds, max_states
     )
     if status == _kernels.REACHED:
         names = inst.var_names + (RESERVED_SYMBOL,)
         witness = tuple(names[sym] for sym in path)
-        return FeasibilityResult(FEASIBLE, witness, states, bounds, multiplier)
+        return FeasibilityResult(FEASIBLE, witness, states, bounds, d)
     if status == _kernels.BUDGET:
-        return FeasibilityResult(INCONCLUSIVE, None, states, bounds, multiplier)
-    return FeasibilityResult(INFEASIBLE, None, states, bounds, multiplier)
+        return FeasibilityResult(INCONCLUSIVE, None, states, bounds, d)
+    return FeasibilityResult(INFEASIBLE, None, states, bounds, d)
 
 
 def parikh(word: Sequence[str], var_names: Sequence[str]) -> tuple[int, ...]:

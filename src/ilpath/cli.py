@@ -147,11 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="ILP-v1 instance file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    def add_automaton_opts(p):
+    def add_multiplier(p):
         p.add_argument(
             "--multiplier", type=int, default=automaton.DEFAULT_MULTIPLIER,
-            help="residue bound multiplier (default %(default)s)",
+            help="multiplier of the paper's residue bound that sizes the "
+            "exported machine (default %(default)s)",
         )
+
+    def add_search_opts(p):
         p.add_argument(
             "--max-states", type=int, default=automaton.DEFAULT_MAX_STATES,
             help="state budget for the search (default %(default)s)",
@@ -159,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide feasibility via state reachability")
     add_common(p)
-    add_automaton_opts(p)
+    add_search_opts(p)
 
     p = sub.add_parser("solve", help="like check, but report a witness assignment")
     add_common(p)
-    add_automaton_opts(p)
+    add_search_opts(p)
 
     p = sub.add_parser("graph", help="emit the DOT solution graph for an assignment")
     add_common(p)
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--export", action="store_true",
                    help="export the state graph (the default and only action)")
-    p.add_argument("--multiplier", type=int, default=automaton.DEFAULT_MULTIPLIER)
+    add_multiplier(p)
     p.add_argument(
         "--max-states", type=int, default=automaton.DEFAULT_EXPORT_STATES,
         help="refuse to export more states than this (default %(default)s)",
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-bp", help="print the BP-v1 guarded-command program")
     add_common(p)
-    p.add_argument("--multiplier", type=int, default=automaton.DEFAULT_MULTIPLIER)
+    add_multiplier(p)
     p.add_argument("-o", "--output", help="write the program here instead of stdout")
 
     p = sub.add_parser("oracle", help="brute-force solutions inside a box")
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="N", default=0,
                    help="also verify N random small instances")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p.add_argument("--multiplier", type=int, default=automaton.DEFAULT_MULTIPLIER)
+    add_multiplier(p)
     p.add_argument("--max-states", type=int, default=automaton.DEFAULT_MAX_STATES)
 
     return parser
@@ -221,12 +224,14 @@ def _cmd_check(args, report: _Report, want_solution: bool) -> int:
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     t0 = time.perf_counter()
-    result = automaton.check_feasible(inst, args.multiplier, args.max_states)
+    result = automaton.check_feasible(inst, max_states=args.max_states)
     report.timing("search", time.perf_counter() - t0)
     report.set(
         verdict=result.status,
         states_explored=result.states_explored,
         residue_bounds=list(result.bounds),
+        bound_rule=automaton.BOUND_RULE,
+        bound_d=result.d,
         backend=_kernels.backend_name(),
     )
     if result.witness is not None:
@@ -349,8 +354,9 @@ def verify_instance(
     Enumerates the oracle solutions inside the box and pushes each one
     through graph construction, validation, decomposition, width and
     occupancy checks, and the schedule-to-word round trip; then compares
-    the automaton verdict against the oracle and the emitted program's
-    reachability against the automaton.  Returns a summary dict with a
+    the `check_feasible` verdict (Steinitz bounds) against the oracle and
+    the reachability of the emitted program (paper bounds at
+    ``multiplier``) against that verdict.  Returns a summary dict with a
     ``breaches`` list (empty when everything agrees).
     """
     breaches: list[str] = []
@@ -360,7 +366,7 @@ def verify_instance(
     summary["oracle_solutions"] = len(sset.solutions)
     summary["oracle_complete"] = sset.complete
 
-    feas = automaton.check_feasible(inst, multiplier, max_states)
+    feas = automaton.check_feasible(inst, max_states=max_states)
     summary["automaton_verdict"] = feas.status
     if feas.status == automaton.FEASIBLE:
         values = automaton.parikh(feas.witness, inst.var_names)
@@ -368,8 +374,8 @@ def verify_instance(
             breaches.append("witness word does not spell a solution")
     if sset.solutions and feas.status == automaton.INFEASIBLE:
         breaches.append(
-            "bound finding: oracle found a solution but the automaton reports "
-            f"infeasible at multiplier {multiplier}"
+            "bound finding: oracle found a solution but the search reports "
+            f"infeasible on the Steinitz bounds {list(feas.bounds)} (d = {feas.d})"
         )
 
     for sol in sset.solutions:
@@ -410,8 +416,8 @@ def verify_instance(
     if feas.status != automaton.INCONCLUSIVE and bp.status != automaton.INCONCLUSIVE:
         if not agree:
             breaches.append(
-                f"program reachability ({bp.status}) disagrees with the "
-                f"automaton ({feas.status})"
+                f"program reachability ({bp.status}) at multiplier {multiplier} "
+                f"disagrees with the Steinitz-bound search ({feas.status})"
             )
     return summary
 

@@ -1,8 +1,10 @@
 """Acceptance suite: every release criterion as one test, one printed line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-PASS/FAIL lines.  The random corpus is fixed by seed; boxes, bounds and
-tolerances are pinned here and nowhere else.
+PASS/FAIL lines; two plain tests next to criterion 5 check the Steinitz
+bounds the search decides on against the paper bounds and the oracle.  The
+random corpus is fixed by seed; boxes, bounds and tolerances are pinned here
+and nowhere else.
 """
 
 import random
@@ -189,9 +191,24 @@ def test_criterion_5_automaton_oracle_agreement(
             if corpus_solutions[name].solutions and result.status == aut.INFEASIBLE:
                 findings.append(
                     f"{name}: oracle-feasible but automaton-infeasible "
-                    f"(residue bound multiplier {result.multiplier})"
+                    f"(Steinitz bounds {result.bounds})"
                 )
         assert findings == [], findings
+
+
+def test_steinitz_bounds_within_paper_bounds(corpus):
+    # the inclusion is why deciding on the Steinitz bounds keeps every
+    # verdict of the paper construction
+    for name, inst in corpus:
+        steinitz, paper = aut.steinitz_bounds(inst), aut.residue_bounds(inst)
+        assert all(s <= p for s, p in zip(steinitz, paper)), (name, steinitz, paper)
+
+
+def test_witness_length_at_most_one_plus_min_total(corpus_solutions, corpus_feasibility):
+    for name, sset in corpus_solutions.items():
+        if sset.solutions:
+            least = min(sum(sol.values) for sol in sset.solutions)
+            assert len(corpus_feasibility[name].witness) <= 1 + least, name
 
 
 def test_criterion_6_schedule_words(corpus, corpus_solutions):

@@ -14,6 +14,7 @@ from ilpath.automaton import (
     parse_boolean_program,
     residue_bounds,
     schedule_to_word,
+    steinitz_bounds,
     step,
 )
 from ilpath.corpus import random_instance
@@ -33,6 +34,16 @@ def test_residue_bounds_default(example_instance):
     assert residue_bounds(example_instance, multiplier=3) == (36, 24)
     with pytest.raises(IlpError):
         residue_bounds(example_instance, multiplier=0)
+
+
+def test_steinitz_bounds_exact_values(example_instance, parity):
+    # d * max(max|a|, |b|) per constraint with d = min(m, n+1)
+    assert steinitz_bounds(example_instance) == (6, 4)
+    assert residue_bounds(example_instance) == (24, 16)
+    assert steinitz_bounds(parity) == (2,)
+    # a zero row with b_j = 0 pins its residue to 0
+    inst = IlpInstance(coeffs=((0, 0), (1, -1)), rhs=(0, 0), var_names=("x1", "x2"))
+    assert steinitz_bounds(inst) == (0, 2)
 
 
 def test_step_examples(example_instance, parity):
@@ -59,6 +70,7 @@ def test_check_feasible_examples(example_instance, parity):
     res = check_feasible(example_instance)
     assert res.status == automaton.FEASIBLE
     assert res.witness == ("b",)  # zero solution, shortest possible word
+    assert (res.bounds, res.d) == ((6, 4), 2)
     assert not any(evaluate(example_instance, parikh(res.witness, example_instance.var_names)))
 
     assert check_feasible(parity).status == automaton.INFEASIBLE
@@ -69,33 +81,53 @@ def test_check_feasible_budget(parity):
     assert res.status == automaton.INCONCLUSIVE
 
 
+def _accepts(inst, bounds, word):
+    """Step ``word`` through the search's machine: residues within ``bounds``,
+    one 'b', accepted when every residue is back to zero after the 'b'."""
+    used, r = 0, (0,) * inst.num_constraints
+    for symbol in word:
+        if symbol == "b":
+            if used:
+                return False
+            used, delta = 1, tuple(-b for b in inst.rhs)
+        else:
+            delta = inst.column(inst.var_names.index(symbol) + 1)
+        r = tuple(v + d for v, d in zip(r, delta))
+        if any(abs(v) > bound for v, bound in zip(r, bounds)):
+            return False
+    return used == 1 and not any(r)
+
+
 def test_witness_is_shortest_and_lex_least():
-    """Exhaustive word enumeration confirms BFS minimality on tiny systems."""
+    """Exhaustive word enumeration on the bounds that decided confirms BFS
+    minimality on tiny systems."""
     cases = [
         IlpInstance(coeffs=((3, -2),), rhs=(1,), var_names=("x1", "x2")),
         IlpInstance(coeffs=((1, -1), (1, 1)), rhs=(0, 2), var_names=("x1", "x2")),
         IlpInstance(coeffs=((2, -3),), rhs=(-4,), var_names=("x1", "x2")),
+        # acceptance corpus random[101]: x1 x1 x3 b leaves the Steinitz bound 5
+        IlpInstance(coeffs=((3, 1, -1),), rhs=(5,), var_names=("x1", "x2", "x3")),
     ]
     for inst in cases:
         res = check_feasible(inst)
         assert res.status == automaton.FEASIBLE
-        machine = CounterAutomaton(inst)
-        alphabet = machine.alphabet
+        alphabet = inst.var_names + ("b",)
         shorter = [
             word
             for length in range(len(res.witness))
             for word in itertools.product(alphabet, repeat=length)
-            if machine.accepts(word)
+            if _accepts(inst, res.bounds, word)
         ]
         assert shorter == []
         rank = {symbol: k for k, symbol in enumerate(alphabet)}
         same_length = [
             word
             for word in itertools.product(alphabet, repeat=len(res.witness))
-            if machine.accepts(word)
+            if _accepts(inst, res.bounds, word)
         ]
         # tie-break among shortest words: variables in declaration order, then b
         assert min(same_length, key=lambda w: [rank[s] for s in w]) == res.witness
+    assert res.witness == ("x1", "x2", "x2", "b")
 
 
 def test_parikh():

@@ -24,6 +24,17 @@ def test_check_feasible_exit_zero(capsys, instance_dir):
     assert report["instance"]["num_vars"] == 3
 
 
+def test_check_reports_the_bound_rule(capsys, instance_dir):
+    code, report, _ = run_json(capsys, "check", str(instance_dir / "example.ilp"))
+    assert code == 0
+    assert report["residue_bounds"] == [6, 4]
+    assert report["bound_rule"].startswith("steinitz")
+    assert report["bound_d"] == 2
+    _code, out, _ = run(capsys, "check", str(instance_dir / "example.ilp"))
+    assert f"bound_rule: {report['bound_rule']}" in out
+    assert "residue_bounds: 6 4" in out
+
+
 def test_check_infeasible_exit_one(capsys, instance_dir):
     code, report, _ = run_json(capsys, "check", str(instance_dir / "parity.ilp"))
     assert code == 1
