@@ -11,7 +11,7 @@ never exceeds twice the number of variables.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +33,12 @@ class ScheduleTrace:
     a reduce subtracts ``s_i`` from every ``c_i`` and leaves ``r`` alone.
     For a zero right-hand side this keeps ``r_j * s_l == sum_i c_i * a_ji``
     after every step; see `check_schedule_invariants` for the general form.
+
+    The derived views (the properties ``num_reduces``, ``rounds``,
+    ``c_after_reduce`` and ``r_after_reduce``, and ``increment_counts()``)
+    are not stored: every access rescans ``steps`` in O(len(steps)) and
+    builds a fresh value.  Read a view once into a local before indexing
+    it in a loop.
     """
 
     num_vars: int
@@ -136,8 +142,16 @@ def check_schedule_invariants(inst: IlpInstance, sol: Solution, trace: ScheduleT
     breaches: list[str] = []
     n = inst.num_vars
     s_l = trace.s_l
-    maxabs = [inst.max_abs_coeff(j) for j in range(1, inst.num_constraints + 1)]
     rhs_used = 1 if any(inst.rhs) else 0
+    # per constraint: (j, b_j, row a_j1..a_jn, residue magnitude bound)
+    rows = []
+    for j, (b_j, row) in enumerate(zip(inst.rhs, inst.coeffs), start=1):
+        maxabs = max(abs(a) for a in row)
+        if b_j == 0:
+            bound = 2 * n * maxabs
+        else:
+            bound = 2 * (n + 1) * max(maxabs, abs(b_j))
+        rows.append((j, b_j, row, bound))
 
     reduces_done = 0
     for idx, (step, c, r) in enumerate(zip(trace.steps, trace.c_history, trace.r_history)):
@@ -149,20 +163,15 @@ def check_schedule_invariants(inst: IlpInstance, sol: Solution, trace: ScheduleT
             if step == REDUCE and ci > s_l:
                 breaches.append(f"step {idx}: c_{i} = {ci} > s_l after reduce")
         c0 = (s_l - reduces_done) * rhs_used
-        for j in range(1, inst.num_constraints + 1):
-            b_j = inst.rhs[j - 1]
+        for j, b_j, row, bound in rows:
             ext_r = r[j - 1] - b_j * rhs_used
             lhs = ext_r * s_l
-            rhs = sum(c[i - 1] * inst.coeff(j, i) for i in range(1, n + 1)) - c0 * b_j
+            rhs = sum(c[i] * row[i] for i in range(n)) - c0 * b_j
             if lhs != rhs:
                 breaches.append(
                     f"step {idx}: residue identity fails for constraint {j} "
                     f"({lhs} != {rhs})"
                 )
-            if b_j == 0:
-                bound = 2 * n * maxabs[j - 1]
-            else:
-                bound = 2 * (n + 1) * max(maxabs[j - 1], abs(b_j))
             if bound > 0:
                 if abs(ext_r) >= bound:
                     breaches.append(
@@ -403,14 +412,15 @@ def build_special_form(inst: IlpInstance, sol: Solution, trace: ScheduleTrace) -
     # columns 0..n; the right-hand-side column behaves like a variable with
     # value 1 that is incremented once, in round 1
     ext_c_rows = [
-        (s_l - k,) + trace.c_after_reduce[k - 1] for k in range(1, t + 1)
+        (s_l - k,) + c for k, c in enumerate(trace.c_after_reduce, start=1)
     ]
     round_sets = [frozenset(rounds[0]) | {0}] + [frozenset(r) for r in rounds[1:]]
+    # ext_rows[j-1][i] is the coefficient of column i in constraint j
+    ext_rows = [(-b_j,) + row for b_j, row in zip(inst.rhs, inst.coeffs)]
 
     all_targets = []
     all_splits = []
-    for j in range(1, m + 1):
-        ext_coeffs = [inst.coeff(j, i) for i in range(0, n + 1)]
+    for ext_coeffs in ext_rows:
         targets, splits = _choose_open_targets(ext_coeffs, ext_c_rows, round_sets, s_l)
         all_targets.append(targets)
         all_splits.append(splits)
@@ -431,39 +441,44 @@ def build_special_form(inst: IlpInstance, sol: Solution, trace: ScheduleTrace) -
         block = [vid for vid, col in stage if col != 0 or rhs_nonzero]
         blocks.append(tuple(block))
 
-    # open[j][i] holds (vid, count) stubs in arrival order, oldest first
-    open_stubs: list[list[list[list[int]]]] = [
-        [[] for _ in range(n + 1)] for _ in range(m)
+    # open_stubs[j][i] holds [vid, count] stubs in arrival order, oldest
+    # first; open_total[j][i] is the sum of their counts
+    open_stubs: list[list[deque[list[int]]]] = [
+        [deque() for _ in range(n + 1)] for _ in range(m)
     ]
+    open_total = [[0] * (n + 1) for _ in range(m)]
     edges: list[tuple[int, int, int]] = []
     edge_blocks: list[tuple[int, ...]] = []
 
     for k in range(1, t + 1):
         for vid, i in arrivals[k - 1]:
-            for j in range(1, m + 1):
-                count = abs(inst.coeff(j, i))
+            for j in range(m):
+                count = abs(ext_rows[j][i])
                 if count:
-                    open_stubs[j - 1][i].append([vid, count])
+                    open_stubs[j][i].append([vid, count])
+                    open_total[j][i] += count
 
         stage_edges: list[int] = []
         for j in range(1, m + 1):
+            ext_coeffs = ext_rows[j - 1]
+            stage_targets = all_targets[j - 1][k - 1]
+            totals = open_total[j - 1]
             pos_removed: list[int] = []
             neg_removed: list[int] = []
             for i in range(n + 1):
                 stubs = open_stubs[j - 1][i]
-                total = sum(entry[1] for entry in stubs)
-                target = abs(all_targets[j - 1][k - 1][i])
-                surplus = total - target
+                surplus = totals[i] - abs(stage_targets[i])
                 if surplus < 0:
                     raise IlpError("internal error: open-stub target exceeds supply")
-                removed = pos_removed if inst.coeff(j, i) > 0 else neg_removed
+                totals[i] -= surplus
+                removed = pos_removed if ext_coeffs[i] > 0 else neg_removed
                 while surplus:
                     vid, count = stubs[0]
                     take = min(count, surplus)
                     removed.extend([vid] * take)
                     surplus -= take
                     if take == count:
-                        stubs.pop(0)
+                        stubs.popleft()
                     else:
                         stubs[0][1] = count - take
                 if len(stubs) > 1:
@@ -544,29 +559,52 @@ def validate_decomposition(g: SolutionGraph, pd: PathDecomposition) -> Decomposi
     must share a bag, and the bags containing any one vertex must form a
     contiguous interval.  The reported width is the actual one, whether or
     not the decomposition is valid.
+
+    The first violation is reported in that order: the smallest unknown
+    vertex id, the smallest vertex in no bag, the first edge sharing no
+    bag, the smallest vertex with non-contiguous bags.  One pass over the
+    bags records each vertex's bag positions; an edge between two vertices
+    with contiguous bags is checked by interval overlap, any other edge by
+    intersecting the two position lists.
     """
     width = pd.width
-    known = set(range(g.num_vertices))
-    mentioned = set().union(*pd.bags) if pd.bags else set()
-    if not mentioned <= known:
-        stray = sorted(mentioned - known)[0]
-        return DecompositionVerdict(False, f"bag mentions unknown vertex {stray}", width)
-
-    missing = known - mentioned
-    if missing:
+    num_vertices = g.num_vertices
+    positions: dict[int, list[int]] = {v: [] for v in range(num_vertices)}
+    stray = set()
+    for k, bag in enumerate(pd.bags):
+        for vertex in bag:
+            where = positions.get(vertex)
+            if where is None:
+                stray.add(vertex)
+            else:
+                where.append(k)
+    if stray:
         return DecompositionVerdict(
-            False, f"vertex {sorted(missing)[0]} is in no bag", width
+            False, f"bag mentions unknown vertex {sorted(stray)[0]}", width
         )
 
+    for vertex in range(num_vertices):
+        if not positions[vertex]:
+            return DecompositionVerdict(False, f"vertex {vertex} is in no bag", width)
+
+    first = [positions[v][0] for v in range(num_vertices)]
+    last = [positions[v][-1] for v in range(num_vertices)]
+    contiguous = [
+        last[v] - first[v] + 1 == len(positions[v]) for v in range(num_vertices)
+    ]
+
     for u, v, j in g.edges:
-        if not any(u in bag and v in bag for bag in pd.bags):
+        if contiguous[u] and contiguous[v]:
+            shared = max(first[u], first[v]) <= min(last[u], last[v])
+        else:
+            shared = not set(positions[u]).isdisjoint(positions[v])
+        if not shared:
             return DecompositionVerdict(
                 False, f"edge ({u}, {v}) with label {j} shares no bag", width
             )
 
-    for vertex in known:
-        positions = [k for k, bag in enumerate(pd.bags) if vertex in bag]
-        if positions[-1] - positions[0] + 1 != len(positions):
+    for vertex in range(num_vertices):
+        if not contiguous[vertex]:
             return DecompositionVerdict(
                 False, f"bags containing vertex {vertex} are not contiguous", width
             )

@@ -78,13 +78,15 @@ def build_graph(inst: IlpInstance, sol: Solution) -> SolutionGraph:
     labels = [0]
     for i in range(1, inst.num_vars + 1):
         labels.extend([i] * sol.values[i - 1])
+    # columns[label][j-1]: coefficient of label in constraint j (label 0: -b_j)
+    columns = [inst.column(i) for i in range(inst.num_vars + 1)]
 
     edges = []
     for j in range(1, inst.num_constraints + 1):
         pos_stubs = []
         neg_stubs = []
         for vid, label in enumerate(labels):
-            c = inst.coeff(j, label)
+            c = columns[label][j - 1]
             if c > 0:
                 pos_stubs.extend([vid] * c)
             elif c < 0:
@@ -125,9 +127,12 @@ def validate_graph(inst: IlpInstance, g: SolutionGraph) -> GraphVerdict:
         if not 1 <= j <= m:
             return GraphVerdict(False, 2, f"edge ({u}, {v}) has label outside [1, {m}]")
 
+    # labels and edge labels are in range from here on;
+    # columns[label][j-1] is the coefficient of label in constraint j
+    columns = [inst.column(i) for i in range(n + 1)]
     for u, v, j in g.edges:
-        su = inst.coeff(j, g.labels[u])
-        sv = inst.coeff(j, g.labels[v])
+        su = columns[g.labels[u]][j - 1]
+        sv = columns[g.labels[v]][j - 1]
         if not ((su > 0 and sv < 0) or (su < 0 and sv > 0)):
             return GraphVerdict(
                 False,
@@ -142,8 +147,9 @@ def validate_graph(inst: IlpInstance, g: SolutionGraph) -> GraphVerdict:
         degree[(u, j)] += 1
         degree[(v, j)] += 1
     for vid, label in enumerate(g.labels):
+        column = columns[label]
         for j in range(1, m + 1):
-            want = abs(inst.coeff(j, label))
+            want = abs(column[j - 1])
             got = degree[(vid, j)]
             if got != want:
                 return GraphVerdict(
@@ -185,15 +191,15 @@ def to_dot(g: SolutionGraph, inst: IlpInstance | None = None) -> str:
     lines = ["graph ilp_solution {"]
     lines.append(f"  n={g.num_vars};")
     lines.append(f"  m={g.num_constraints};")
+    tooltips: dict[int, str] = {}
     for vid, label in enumerate(g.labels):
         tooltip = ""
         if inst is not None:
-            signs = ",".join(
-                _sign_char(inst.coeff(j, label))
-                for j in range(1, inst.num_constraints + 1)
-            )
-            name = "b" if label == 0 else inst.var_names[label - 1]
-            tooltip = f', tooltip="{name}: {signs}"'
+            tooltip = tooltips.get(label)
+            if tooltip is None:
+                signs = ",".join(_sign_char(c) for c in inst.column(label))
+                name = "b" if label == 0 else inst.var_names[label - 1]
+                tooltip = tooltips[label] = f', tooltip="{name}: {signs}"'
         lines.append(f'  v{vid} [label="{label}"{tooltip}];')
     for u, v, j in g.edges:
         lines.append(f'  v{u} -- v{v} [label="{j}"];')

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ilpath.corpus import random_instance
 from ilpath.decomposition import (
+    DecompositionVerdict,
     PathDecomposition,
+    ScheduleTrace,
     build_special_form,
     check_schedule_invariants,
     decompose,
@@ -15,7 +18,7 @@ from ilpath.decomposition import (
 )
 from ilpath.instance import IlpError, IlpInstance, Solution
 from ilpath.oracle import enumerate_solutions
-from ilpath.solution_graph import sol_of, validate_graph
+from ilpath.solution_graph import SolutionGraph, sol_of, validate_graph
 
 
 @pytest.fixture
@@ -258,3 +261,140 @@ def test_width_bound_over_enumerated_solutions():
             assert max_label_occupancy(sf.graph, pd) <= 2
             checked += 1
     assert checked > 100
+
+
+def _reference_validate_decomposition(g, pd):
+    """Plain bag-scan validator: the reference `validate_decomposition` must
+    agree with, verdict for verdict and message for message."""
+    width = pd.width
+    known = set(range(g.num_vertices))
+    mentioned = set().union(*pd.bags) if pd.bags else set()
+    if not mentioned <= known:
+        stray = sorted(mentioned - known)[0]
+        return DecompositionVerdict(False, f"bag mentions unknown vertex {stray}", width)
+
+    missing = known - mentioned
+    if missing:
+        return DecompositionVerdict(
+            False, f"vertex {sorted(missing)[0]} is in no bag", width
+        )
+
+    for u, v, j in g.edges:
+        if not any(u in bag and v in bag for bag in pd.bags):
+            return DecompositionVerdict(
+                False, f"edge ({u}, {v}) with label {j} shares no bag", width
+            )
+
+    for vertex in known:
+        positions = [k for k, bag in enumerate(pd.bags) if vertex in bag]
+        if positions[-1] - positions[0] + 1 != len(positions):
+            return DecompositionVerdict(
+                False, f"bags containing vertex {vertex} are not contiguous", width
+            )
+
+    return DecompositionVerdict(True, None, width)
+
+
+def _unary_decompositions():
+    example = IlpInstance(
+        coeffs=((-2, 3, 1), (1, -2, 1)), rhs=(0, 0), var_names=("x1", "x2", "x3")
+    )
+    runs = [(example, Solution((5 * k, 3 * k, k))) for k in (1, 4)]
+    rng = random.Random(8)
+    while len(runs) < 8:
+        inst = random_instance(rng)
+        sols = [s for s in enumerate_solutions(inst, 4).solutions if sum(s.values) >= 3]
+        if sols:
+            runs.append((inst, sols[-1]))
+    for inst, sol in runs:
+        sf = build_special_form(inst, sol, schedule(inst, sol))
+        yield sf.graph, decompose(sf)
+
+
+def test_validate_decomposition_matches_bag_scan_reference():
+    rng = random.Random(1408)
+    kinds = Counter()
+    for g, pd in _unary_decompositions():
+        assert validate_decomposition(g, pd) == _reference_validate_decomposition(g, pd)
+        for _ in range(60):
+            bags = [set(b) for b in pd.bags]
+            for _step in range(rng.choice((1, 1, 2))):
+                op = rng.choice(("drop", "add", "move"))
+                k = rng.randrange(len(bags))
+                if op == "add":
+                    bags[k].add(rng.randrange(g.num_vertices + 2))
+                elif bags[k]:
+                    vertex = rng.choice(sorted(bags[k]))
+                    bags[k].discard(vertex)
+                    if op == "move":
+                        bags[rng.randrange(len(bags))].add(vertex)
+            mutated = PathDecomposition(tuple(frozenset(b) for b in bags))
+            verdict = validate_decomposition(g, mutated)
+            assert verdict == _reference_validate_decomposition(g, mutated)
+            kinds[verdict.violation.split()[0] if verdict.violation else None] += 1
+    # every kind of violation, and valid decompositions, were exercised
+    assert set(kinds) == {"bag", "vertex", "edge", "bags", None}, kinds
+
+
+def test_validate_decomposition_reports_far_readded_vertex(example_run):
+    inst, sol, trace = example_run
+    sf = build_special_form(inst, sol, trace)
+    pd = decompose(sf)
+    last_bag = {
+        v: max(k for k, bag in enumerate(pd.bags) if v in bag)
+        for v in range(sf.graph.num_vertices)
+    }
+    # an endpoint whose bags end well before the last one
+    endpoints = {u for u, _w, _j in sf.graph.edges} | {w for _u, w, _j in sf.graph.edges}
+    vertex = min(v for v in endpoints if last_bag[v] < len(pd.bags) - 2)
+    readded = PathDecomposition(pd.bags[:-1] + (pd.bags[-1] | {vertex},))
+    verdict = validate_decomposition(sf.graph, readded)
+    assert verdict.violation == f"bags containing vertex {vertex} are not contiguous"
+    assert verdict == _reference_validate_decomposition(sf.graph, readded)
+
+
+def test_validate_decomposition_gapped_endpoint_fails_only_on_contiguity():
+    g = SolutionGraph(2, 1, (0, 1, 2), ((1, 2, 1),))
+    # vertex 1 sits in bags 0 and 2; its edge partner shares bag 0
+    meets = PathDecomposition((frozenset({0, 1, 2}), frozenset({0}), frozenset({0, 1})))
+    verdict = validate_decomposition(g, meets)
+    assert verdict.violation == "bags containing vertex 1 are not contiguous"
+    assert verdict == _reference_validate_decomposition(g, meets)
+    # the partner sits inside vertex 1's gap: the span of bags 0..2 covers it,
+    # yet the two vertices share no bag
+    straddles = PathDecomposition((frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1})))
+    verdict = validate_decomposition(g, straddles)
+    assert verdict.violation == "edge (1, 2) with label 1 shares no bag"
+    assert verdict == _reference_validate_decomposition(g, straddles)
+
+
+def test_build_special_form_reads_each_trace_view_once(example_instance, monkeypatch):
+    """The derived trace views are rebuilt on every access; reading one per
+    stage made the special form quadratic in the number of stages."""
+    reads = Counter()
+    for name in ("c_after_reduce", "rounds"):
+        view = getattr(ScheduleTrace, name).fget
+
+        def counted(self, _name=name, _view=view):
+            reads[_name] += 1
+            return _view(self)
+
+        monkeypatch.setattr(ScheduleTrace, name, property(counted))
+    sol = Solution((50, 30, 10))
+    trace = schedule(example_instance, sol)
+    sf = build_special_form(example_instance, sol, trace)
+    assert len(sf.vertex_blocks) == 50
+    assert reads["c_after_reduce"] <= 1
+    assert reads["rounds"] <= 1
+
+
+def test_worked_example_at_the_largest_benchmark_size(example_instance):
+    sol = Solution((2000, 1200, 400))
+    trace = schedule(example_instance, sol)
+    sf = build_special_form(example_instance, sol, trace)
+    pd = decompose(sf)
+    assert sf.graph.num_vertices == 3601
+    verdict = validate_decomposition(sf.graph, pd)
+    assert verdict.ok, verdict.violation
+    assert pd.width <= 2 * example_instance.num_vars - 1  # zero right-hand side
+    assert max_label_occupancy(sf.graph, pd) <= 2
