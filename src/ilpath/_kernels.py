@@ -1,80 +1,140 @@
-"""Kernel dispatch: compiled accelerators when usable, pure Python otherwise.
+"""The two hot loops: automaton reachability and box enumeration.
 
-The compiled kernels work on int64, so they are only selected when every
-intermediate value provably fits; anything wider falls back to the exact
-pure-Python twins.  Set ``ILPATH_PURE=1`` to force the fallback.
+Feasibility is decided by `automaton_reach`, a breadth-first search over
+bounded residue states; `enumerate_box` is the brute-force oracle that
+cross-checks it.  Both are plain Python on exact integers, so no
+coefficient, bound or budget is too wide for them.
 """
 
 from __future__ import annotations
 
-import os
+from collections import deque
 
-from ilpath import _kernels_py
-
-try:
-    from ilpath import _speedups  # type: ignore[attr-defined]
-except ImportError:  # extension not built
-    _speedups = None
-
-REACHED = _kernels_py.REACHED
-EXHAUSTED = _kernels_py.EXHAUSTED
-BUDGET = _kernels_py.BUDGET
-
-_INT64_SAFE = 2**62
-
-
-def _force_pure() -> bool:
-    return os.environ.get("ILPATH_PURE", "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def compiled_available() -> bool:
-    return _speedups is not None
+REACHED = "reached"
+EXHAUSTED = "exhausted"
+BUDGET = "budget"
 
 
 def backend_name() -> str:
-    return "pure" if (_speedups is None or _force_pure()) else "compiled"
-
-
-def _reach_fits_int64(columns, bvec, bounds, max_states) -> bool:
-    if len(columns) >= 120 or max_states >= 2**31 - 2:
-        return False  # the compiled kernel packs symbols in int8, indices in int32
-    code_span = 2
-    for b in bounds:
-        code_span *= 2 * b + 1
-        if code_span > _INT64_SAFE:
-            return False
-    deltas = [abs(v) for col in columns for v in col] + [abs(v) for v in bvec]
-    peak = max(bounds, default=0) + max(deltas, default=0)
-    return peak < _INT64_SAFE
-
-
-def _enum_fits_int64(rows, bvec, box, max_nodes) -> bool:
-    if max_nodes >= _INT64_SAFE:
-        return False
-    for row, b in zip(rows, bvec):
-        reach = abs(b) + sum(abs(a) for a in row) * box
-        if reach >= _INT64_SAFE:
-            return False
-    return True
+    """Name of the kernel implementation, as recorded in reports."""
+    return "pure"
 
 
 def automaton_reach(columns, bvec, bounds, max_states):
-    """See `_kernels_py.automaton_reach`; dispatches to the fast twin."""
-    if (
-        _speedups is not None
-        and not _force_pure()
-        and _reach_fits_int64(columns, bvec, bounds, max_states)
-    ):
-        return _speedups.automaton_reach(columns, bvec, bounds, max_states)
-    return _kernels_py.automaton_reach(columns, bvec, bounds, max_states)
+    """Breadth-first search over bounded residue states.
+
+    States are pairs ``(used, r)`` with ``used`` a bit and ``r`` an m-vector
+    with ``|r_j| <= bounds[j]``.  Symbol ``i < n`` adds ``columns[i]`` to
+    ``r``; symbol ``n`` requires ``used == 0``, subtracts ``bvec`` and sets
+    the bit.  The target is ``(1, 0)``.
+
+    Returns ``(status, path, discovered)`` where ``path`` is the symbol
+    sequence of a shortest target word (ties broken by symbol order), or
+    None.  ``status`` is "reached", "exhausted" (no target within bounds)
+    or "budget" (more than ``max_states`` states discovered).
+    """
+    n = len(columns)
+    m = len(bvec)
+    zero = (0,) * m
+    start = (0, zero)
+    target = (1, zero)
+    parent: dict = {start: None}
+    queue = deque([start])
+    discovered = 1
+
+    while queue:
+        state = queue.popleft()
+        used, r = state
+        for sym in range(n + 1):
+            if sym < n:
+                col = columns[sym]
+                nxt_used = used
+            else:
+                if used:
+                    continue
+                col = [-b for b in bvec]
+                nxt_used = 1
+            ok = True
+            nr = []
+            for j in range(m):
+                v = r[j] + col[j]
+                if v > bounds[j] or v < -bounds[j]:
+                    ok = False
+                    break
+                nr.append(v)
+            if not ok:
+                continue
+            succ = (nxt_used, tuple(nr))
+            if succ in parent:
+                continue
+            parent[succ] = (state, sym)
+            discovered += 1
+            if succ == target:
+                path = []
+                cur = succ
+                while parent[cur] is not None:
+                    prev, sym_ = parent[cur]
+                    path.append(sym_)
+                    cur = prev
+                path.reverse()
+                return REACHED, path, discovered
+            if discovered > max_states:
+                return BUDGET, None, discovered
+            queue.append(succ)
+
+    return EXHAUSTED, None, discovered
 
 
 def enumerate_box(rows, bvec, box, max_nodes, first_only=False):
-    """See `_kernels_py.enumerate_box`; dispatches to the fast twin."""
-    if (
-        _speedups is not None
-        and not _force_pure()
-        and _enum_fits_int64(rows, bvec, box, max_nodes)
-    ):
-        return _speedups.enumerate_box(rows, bvec, box, max_nodes, first_only)
-    return _kernels_py.enumerate_box(rows, bvec, box, max_nodes, first_only)
+    """Depth-first enumeration of ``[0, box]^n`` with per-constraint pruning.
+
+    Returns ``(complete, nodes, solutions)``; ``solutions`` come out in
+    lexicographic order.  ``complete`` is False when the node budget ran out
+    (or, with ``first_only``, when the search stopped at the first hit).
+    """
+    n = len(rows[0])
+    m = len(rows)
+
+    # suffix[k][j] = (lowest, highest) contribution variables k..n-1 can add
+    suffix = [[(0, 0)] * m]
+    for k in range(n - 1, -1, -1):
+        prev = suffix[0]
+        cur = []
+        for j in range(m):
+            a = rows[j][k]
+            lo, hi = prev[j]
+            cur.append((lo + min(0, a * box), hi + max(0, a * box)))
+        suffix.insert(0, cur)
+
+    solutions = []
+    x = [0] * n
+    nodes = 0
+
+    def admissible(k, partial):
+        for j in range(m):
+            lo, hi = suffix[k][j]
+            if not partial[j] + lo <= bvec[j] <= partial[j] + hi:
+                return False
+        return True
+
+    def descend(k, partial):
+        nonlocal nodes
+        for v in range(box + 1):
+            nodes += 1
+            if nodes > max_nodes:
+                return False
+            x[k] = v
+            nxt = [partial[j] + rows[j][k] * v for j in range(m)]
+            if not admissible(k + 1, nxt):
+                continue
+            if k == n - 1:
+                solutions.append(tuple(x))
+                if first_only:
+                    return False
+            else:
+                if not descend(k + 1, nxt):
+                    return False
+        return True
+
+    complete = descend(0, [0] * m)
+    return complete, nodes, solutions

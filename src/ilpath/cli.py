@@ -134,6 +134,17 @@ def _write_or_print(text: str, path: str | None, report: _Report, key: str):
         print(text, end="")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts and budgets: a plain integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ilpath",
@@ -156,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search_opts(p):
         p.add_argument(
-            "--max-states", type=int, default=automaton.DEFAULT_MAX_STATES,
+            "--max-states", type=_non_negative_int,
+            default=automaton.DEFAULT_MAX_STATES,
             help="state budget for the search (default %(default)s)",
         )
 
@@ -186,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export the state graph (the default and only action)")
     add_multiplier(p)
     p.add_argument(
-        "--max-states", type=int, default=automaton.DEFAULT_EXPORT_STATES,
+        "--max-states", type=_non_negative_int, default=automaton.DEFAULT_EXPORT_STATES,
         help="refuse to export more states than this (default %(default)s)",
     )
     p.add_argument("--format", choices=("dot", "text"), default="dot")
@@ -201,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--box", type=int, default=oracle.DEFAULT_BOX,
                    help="per-variable upper bound (default %(default)s)")
-    p.add_argument("--max-nodes", type=int, default=oracle.DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=_non_negative_int,
+                   default=oracle.DEFAULT_MAX_NODES)
     p.add_argument("--csv", help="write all solutions found to this CSV file")
 
     p = sub.add_parser(
@@ -211,11 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="ILP-v1 instance file")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--box", type=int, default=oracle.DEFAULT_BOX)
-    p.add_argument("--random", type=int, metavar="N", default=0,
+    p.add_argument("--random", type=_non_negative_int, metavar="N", default=0,
                    help="also verify N random small instances")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
     add_multiplier(p)
-    p.add_argument("--max-states", type=int, default=automaton.DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_non_negative_int,
+                   default=automaton.DEFAULT_MAX_STATES)
 
     return parser
 

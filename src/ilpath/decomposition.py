@@ -283,14 +283,13 @@ def _choose_open_targets(ext_coeffs, ext_c_rows, round_sets, s_l):
     ce = [[_ceildiv(v, s_l) for v in row] for row in num]
     frac = [[f != c for f, c in zip(frow, crow)] for frow, crow in zip(fl, ce)]
 
+    # the positive and negative residue parts of each stage, times s_l
+    num_pos = [sum(row[i] for i in pos) for row in num]
+    num_neg = [sum(row[i] for i in neg) for row in num]
     need_pos = [
-        _ceildiv(sum(num[k][i] for i in pos), s_l) - sum(fl[k][i] for i in pos)
-        for k in range(t)
+        _ceildiv(num_pos[k], s_l) - sum(fl[k][i] for i in pos) for k in range(t)
     ]
-    need_neg = [
-        sum(num[k][i] for i in neg) // s_l - sum(fl[k][i] for i in neg)
-        for k in range(t)
-    ]
+    need_neg = [num_neg[k] // s_l - sum(fl[k][i] for i in neg) for k in range(t)]
 
     # link[k][i]: condition (c) couples the bumps of column i at stages
     # k and k+1 (0-based stages)
@@ -361,18 +360,13 @@ def _choose_open_targets(ext_coeffs, ext_c_rows, round_sets, s_l):
         targets.append(
             tuple(ce[k][i] if i in bumps else fl[k][i] for i in cols)
         )
-        splits.append(
-            (
-                Fraction(sum(num[k][i] for i in pos), s_l),
-                Fraction(sum(num[k][i] for i in neg), s_l),
-            )
-        )
+        splits.append((Fraction(num_pos[k], s_l), Fraction(num_neg[k], s_l)))
 
     # paranoid re-check of (a), (b), (c); a failure here is a bug
     for k in range(t):
-        if sum(targets[k][i] for i in pos) != _ceildiv(sum(num[k][i] for i in pos), s_l):
+        if sum(targets[k][i] for i in pos) != _ceildiv(num_pos[k], s_l):
             raise IlpError("internal error: positive open-stub sums are off")
-        if sum(targets[k][i] for i in neg) != sum(num[k][i] for i in neg) // s_l:
+        if sum(targets[k][i] for i in neg) != num_neg[k] // s_l:
             raise IlpError("internal error: negative open-stub sums are off")
         if k + 1 < t:
             for i in cols:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ilpath import automaton
+from ilpath import _kernels, automaton
 from ilpath.automaton import (
     CounterAutomaton,
     check_feasible,
@@ -79,6 +79,26 @@ def test_check_feasible_examples(example_instance, parity):
 def test_check_feasible_budget(parity):
     res = check_feasible(parity, max_states=3)
     assert res.status == automaton.INCONCLUSIVE
+
+
+def test_kernel_budget_accounting(parity):
+    """The budget counts discovered states, the start state included."""
+    cols = [parity.column(1)]
+    for budget, discovered in ((1, 2), (2, 3), (3, 4), (5, 6)):
+        assert _kernels.automaton_reach(cols, parity.rhs, (8,), budget) == (
+            _kernels.BUDGET, None, discovered
+        )
+    assert _kernels.automaton_reach(cols, parity.rhs, (8,), 100) == (
+        _kernels.EXHAUSTED, None, 10
+    )
+
+
+def test_check_feasible_exact_on_wide_values():
+    big = 2**70
+    inst = IlpInstance(coeffs=((big, -1),), rhs=(big,), var_names=("x1", "x2"))
+    res = check_feasible(inst, max_states=20_000)
+    assert res.status == automaton.FEASIBLE
+    assert not any(evaluate(inst, parikh(res.witness, inst.var_names)))
 
 
 def _accepts(inst, bounds, word):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ilpath.cli import main
 from ilpath.solution_graph import from_dot
 
@@ -194,6 +196,23 @@ def test_verify_random_batch(capsys):
     assert code == 0
     assert report["instances_checked"] == 25
     assert report["total_breaches"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--random", "-3"),
+        ("check", "{example}", "--max-states", "-1"),
+        ("oracle", "{example}", "--max-nodes", "-1"),
+    ],
+    ids=["verify-random", "check-max-states", "oracle-max-nodes"],
+)
+def test_negative_counts_are_usage_errors(capsys, instance_dir, argv):
+    argv = [a.format(example=instance_dir / "example.ilp") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_verify_needs_some_input(capsys):

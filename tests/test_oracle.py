@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ilpath import _kernels
 from ilpath.corpus import random_instance
 from ilpath.instance import IlpError, IlpInstance, evaluate
 from ilpath.oracle import (
@@ -77,6 +78,20 @@ def test_budget_yields_partial_result():
     assert 0 < len(found.solutions) < 100
     assert list(found.solutions) == sorted(found.solutions, key=lambda s: s.values)
     assert brute_force_feasible(inst, 9, max_nodes=1).status == BUDGET_EXCEEDED
+
+
+def test_enumerate_box_degenerate_boxes():
+    assert _kernels.enumerate_box(((1, 1),), (0,), 0, 1000) == (True, 2, [(0, 0)])
+    assert _kernels.enumerate_box(((1, -1),), (0,), 0, 1000) == (True, 2, [(0, 0)])
+    assert _kernels.enumerate_box(((2,),), (4,), 2, 1000) == (True, 3, [(2,)])
+
+
+def test_enumerate_box_budget_accounting():
+    """On an all-zero row every leaf is a solution; the budget counts nodes."""
+    grid = [(i, j) for i in range(10) for j in range(10)]
+    for budget, found in ((1, 0), (3, 2), (17, 15), (99, 90)):
+        complete, nodes, sols = _kernels.enumerate_box(((0, 0),), (0,), 9, budget)
+        assert (complete, nodes, sols) == (False, budget + 1, grid[:found])
 
 
 def test_monotone_in_box():
