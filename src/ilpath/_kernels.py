@@ -3,7 +3,9 @@
 Feasibility is decided by `automaton_reach`, a breadth-first search over
 bounded residue states; `enumerate_box` is the brute-force oracle that
 cross-checks it.  Both are plain Python on exact integers, so no
-coefficient, bound or budget is too wide for them.
+coefficient, bound or budget is too wide for them.  `automaton_reach`
+serves only `automaton.check_feasible`: the BP-v1 program check runs on
+its own interpreter, so that it stays independent of this search.
 """
 
 from __future__ import annotations

@@ -477,111 +477,79 @@ def parse_boolean_program(text: str) -> BooleanProgram:
     return BooleanProgram(tuple(variables), tuple(rules), target)
 
 
-def _as_counter_search(prog: BooleanProgram):
-    """Recognize the counter shape emitted above and map it onto the fast
-    reachability kernel: symmetric zero-initialized counters, one bit, one
-    bit-guarded rule that sets the bit, and an all-zero target.  Returns
-    (columns, bvec, bounds) or None when the program is more general."""
-    bits = [v for v in prog.variables if (v.lo, v.hi) == (0, 1)]
-    counters = [v for v in prog.variables if (v.lo, v.hi) != (0, 1)]
-    if len(bits) != 1:
-        return None
-    bit = bits[0]
-    if bit.init != 0:
-        return None
-    order = {v.name: k for k, v in enumerate(counters)}
-    for v in counters:
-        if v.init != 0 or v.lo != -v.hi:
-            return None
-
-    want_target = {(v.name, 0) for v in counters} | {(bit.name, 1)}
-    if set(prog.target) != want_target or len(prog.target) != len(want_target):
-        return None
-
-    columns = []
-    bvec = None
-    for rule in prog.rules:
-        deltas = [0] * len(counters)
-        sets_bit = False
-        for op, var, value in rule.updates:
-            if op == "+=" and var in order:
-                deltas[order[var]] += value
-            elif op == ":=" and var == bit.name and value == 1:
-                sets_bit = True
-            else:
-                return None
-        if rule.guard == () and not sets_bit:
-            columns.append(tuple(deltas))
-        elif set(rule.guard) == {(bit.name, 0)} and sets_bit:
-            if bvec is not None:
-                return None
-            bvec = tuple(-d for d in deltas)
-        else:
-            return None
-    if bvec is None:
-        return None
-    return columns, bvec, tuple(v.hi for v in counters)
-
-
 def interpret_boolean_program(
     text: str, max_states: int = DEFAULT_MAX_STATES
 ) -> BpResult:
     """Decide reachability of the target location of a BP-v1 program.
 
-    Programs in the shape produced by `emit_boolean_program` run on the
-    fast reachability kernel; anything else falls back to a generic
-    breadth-first interpreter over the declared variable ranges.
+    Every program runs on one generic breadth-first engine, which shares no
+    code with the reachability kernel behind `check_feasible`, so comparing
+    the two verdicts is an independent check.  The parsed program is
+    compiled once to index tuples.  Each state is packed into one mixed-radix
+    integer ``sum((v_k - lo_k) * stride_k)`` with ``stride_k`` the product of
+    the range sizes of the variables declared before ``k``; the visited set
+    holds these codes and the frontier holds one BFS level of
+    ``(code, values)`` pairs.  A rule fires when its guard holds; its updates
+    then run in order, and the rule is disabled as soon as one of them leaves
+    its variable's range.  The target is tested when a state is discovered,
+    before the budget: more than ``max_states`` discovered states (the
+    initial one included) gives ``inconclusive``.
     """
     prog = parse_boolean_program(text)
+    index = {v.name: k for k, v in enumerate(prog.variables)}
+    strides = []
+    radix = 1
+    for v in prog.variables:
+        strides.append(radix)
+        radix *= v.hi - v.lo + 1
 
-    recognized = _as_counter_search(prog)
-    if recognized is not None:
-        columns, bvec, bounds = recognized
-        status, _path, states = _kernels.automaton_reach(
-            columns, bvec, bounds, max_states
-        )
-        if status == _kernels.REACHED:
-            return BpResult(REACHABLE, states)
-        if status == _kernels.BUDGET:
-            return BpResult(INCONCLUSIVE, states)
-        return BpResult(UNREACHABLE, states)
+    def tests(guard):
+        return tuple((index[name], value) for name, value in guard)
 
-    order = {v.name: k for k, v in enumerate(prog.variables)}
-    los = [v.lo for v in prog.variables]
-    his = [v.hi for v in prog.variables]
+    rules = []
+    for rule in prog.rules:
+        updates = []
+        for op, name, value in rule.updates:
+            k = index[name]
+            v = prog.variables[k]
+            updates.append((k, op == "+=", value, v.lo, v.hi, strides[k]))
+        rules.append((tests(rule.guard), tuple(updates)))
+    target = tests(prog.target)
+
     initial = tuple(v.init for v in prog.variables)
-
-    def holds(guard, state) -> bool:
-        return all(state[order[name]] == value for name, value in guard)
-
-    if holds(prog.target, initial):
+    if all(initial[k] == value for k, value in target):
         return BpResult(REACHABLE, 1)
-    visited = {initial}
-    frontier = [initial]
+    code = sum((v.init - v.lo) * stride for v, stride in zip(prog.variables, strides))
+    visited = {code}
+    frontier = [(code, initial)]
     while frontier:
-        nxt_frontier = []
-        for state in frontier:
-            for rule in prog.rules:
-                if not holds(rule.guard, state):
-                    continue
-                values = list(state)
-                alive = True
-                for op, var, value in rule.updates:
-                    k = order[var]
-                    values[k] = values[k] + value if op == "+=" else value
-                    if not los[k] <= values[k] <= his[k]:
-                        alive = False
+        next_frontier = []
+        for code, state in frontier:
+            for guard, updates in rules:
+                for k, value in guard:
+                    if state[k] != value:
                         break
-                if not alive:
-                    continue
-                succ = tuple(values)
-                if succ in visited:
-                    continue
-                visited.add(succ)
-                if holds(prog.target, succ):
-                    return BpResult(REACHABLE, len(visited))
-                if len(visited) > max_states:
-                    return BpResult(INCONCLUSIVE, len(visited))
-                nxt_frontier.append(succ)
-        frontier = nxt_frontier
+                else:  # the guard holds
+                    values = list(state)
+                    succ = code
+                    for k, add, value, lo, hi, stride in updates:
+                        old = values[k]
+                        new = old + value if add else value
+                        if new < lo or new > hi:
+                            break
+                        values[k] = new
+                        succ += (new - old) * stride
+                    else:  # every update stayed in range
+                        if succ in visited:
+                            continue
+                        visited.add(succ)
+                        for k, value in target:
+                            if values[k] != value:
+                                break
+                        else:
+                            return BpResult(REACHABLE, len(visited))
+                        if len(visited) > max_states:
+                            return BpResult(INCONCLUSIVE, len(visited))
+                        next_frontier.append((succ, tuple(values)))
+        frontier = next_frontier
     return BpResult(UNREACHABLE, len(visited))

@@ -371,7 +371,8 @@ def verify_instance(
     the `check_feasible` verdict (Steinitz bounds) against the oracle and
     the reachability of the emitted program (paper bounds at
     ``multiplier``) against that verdict.  Returns a summary dict with a
-    ``breaches`` list (empty when everything agrees).
+    ``breaches`` list (empty when everything agrees) and the states each
+    search discovered (``automaton_states``, ``program_states``).
     """
     breaches: list[str] = []
     summary: dict = {"breaches": breaches}
@@ -382,6 +383,7 @@ def verify_instance(
 
     feas = automaton.check_feasible(inst, max_states=max_states)
     summary["automaton_verdict"] = feas.status
+    summary["automaton_states"] = feas.states_explored
     if feas.status == automaton.FEASIBLE:
         values = automaton.parikh(feas.witness, inst.var_names)
         if any(evaluate(inst, values)):
@@ -426,6 +428,7 @@ def verify_instance(
         automaton.emit_boolean_program(inst, multiplier), max_states
     )
     summary["program_verdict"] = bp.status
+    summary["program_states"] = bp.states_explored
     agree = (bp.status == automaton.REACHABLE) == (feas.status == automaton.FEASIBLE)
     if feas.status != automaton.INCONCLUSIVE and bp.status != automaton.INCONCLUSIVE:
         if not agree:

@@ -238,6 +238,51 @@ def test_criterion_7_boolean_program(corpus, corpus_feasibility):
             assert len(text.encode()) <= budget, (name, len(text), budget)
 
 
+def _read_back_program(prog):
+    """``(rule names, columns, rhs, bounds)`` of an emitted BP-v1 program;
+    fails on anything outside the shape `emit_boolean_program` prints."""
+    *counters, bit = prog.variables
+    m = len(counters)
+    assert [v.name for v in counters] == [f"r{j}" for j in range(1, m + 1)]
+    assert all(v.lo == -v.hi and v.init == 0 for v in counters)
+    assert (bit.name, bit.lo, bit.hi, bit.init) == ("B", 0, 1, 0)
+
+    def deltas(updates):
+        row = [0] * m
+        for op, name, value in updates:
+            j = int(name[1:]) - 1
+            assert op == "+=" and value != 0 and row[j] == 0, updates
+            row[j] = value
+        return tuple(row)
+
+    *var_rules, b_rule = prog.rules
+    assert all(rule.guard == () for rule in var_rules)
+    assert (b_rule.name, b_rule.guard) == ("b", (("B", 0),))
+    assert b_rule.updates[-1] == (":=", "B", 1)
+    assert prog.target == (("B", 1),) + tuple((v.name, 0) for v in counters)
+    return (
+        tuple(rule.name for rule in var_rules),
+        tuple(deltas(rule.updates) for rule in var_rules),
+        tuple(-d for d in deltas(b_rule.updates[:-1])),
+        tuple(v.hi for v in counters),
+    )
+
+
+def test_emitted_program_reads_back_to_the_instance(corpus):
+    # reachability alone misses emitter bugs that keep the verdict, such as
+    # a wrong bound or a coefficient moved within its column
+    skip_rules = zero_rhs = 0
+    for name, inst in corpus:
+        text = aut.emit_boolean_program(inst)
+        columns = tuple(inst.column(i) for i in range(1, inst.num_vars + 1))
+        assert _read_back_program(aut.parse_boolean_program(text)) == (
+            inst.var_names, columns, inst.rhs, aut.residue_bounds(inst)
+        ), name
+        skip_rules += text.count("-> skip\n")
+        zero_rhs += not any(inst.rhs)
+    assert skip_rules and zero_rhs
+
+
 def test_criterion_8_counter_invariants(corpus, corpus_solutions):
     with criterion(8, "counter ranges and the residue identity hold on every run"):
         for name, inst in corpus:

@@ -257,9 +257,8 @@ def test_interpret_matches_check(example_instance, parity):
         )
 
 
-def test_interpreter_generic_engine_agrees(monkeypatch, example_instance, parity):
-    """Force the generic guarded-command engine and compare verdicts."""
-    monkeypatch.setattr(automaton, "_as_counter_search", lambda prog: None)
+def test_interpreter_generic_engine_agrees(example_instance, parity):
+    """The guarded-command engine and the feasibility search agree."""
     for inst in (example_instance, parity):
         generic = interpret_boolean_program(emit_boolean_program(inst))
         assert (generic.status == automaton.REACHABLE) == (
@@ -282,8 +281,7 @@ def test_generic_programs_run_correctly():
 
 
 def test_interpreter_counter_guard_forces_generic_engine():
-    # a guard over a counter is outside the recognized shape but must
-    # still be interpreted correctly
+    # a guard over a counter, which emitted programs never have
     program = (
         "bp 1\n"
         "var r1 in [-4, 4] init 0\n"
@@ -298,8 +296,115 @@ def test_interpreter_counter_guard_forces_generic_engine():
 
 
 def test_interpreter_budget_is_inconclusive(parity):
+    """Same counts as `test_kernel_budget_accounting`: the parity program
+    is emitted at bound (8,), and the budget counts discovered states."""
     text = emit_boolean_program(parity)
     assert interpret_boolean_program(text, max_states=2).status == automaton.INCONCLUSIVE
+    assert "var r1 in [-8, 8] init 0" in text
+    for budget, discovered in ((1, 2), (2, 3), (3, 4), (5, 6)):
+        assert interpret_boolean_program(text, budget) == automaton.BpResult(
+            automaton.INCONCLUSIVE, discovered
+        )
+    assert interpret_boolean_program(text, 100) == automaton.BpResult(
+        automaton.UNREACHABLE, 10
+    )
+
+
+def test_interpreter_does_not_use_the_kernel(monkeypatch, example_instance, parity):
+    def no_kernel(*args):
+        raise AssertionError("the program check ran the feasibility kernel")
+
+    monkeypatch.setattr(_kernels, "automaton_reach", no_kernel)
+    assert interpret_boolean_program(
+        emit_boolean_program(example_instance)
+    ) == automaton.BpResult(automaton.REACHABLE, 5)
+    assert interpret_boolean_program(emit_boolean_program(parity)) == automaton.BpResult(
+        automaton.UNREACHABLE, 10
+    )
+
+
+def _bp(*lines):
+    return "bp 1\n" + "\n".join(lines) + "\n"
+
+
+def test_interpreter_repeated_updates_run_in_order():
+    # x += 3 leaves [0, 2] before x += -3 brings it back: the rule is dead
+    bounce = _bp(
+        "var x in [0, 2] init 0",
+        "bit B init 0",
+        "rule bounce: true -> x += 3, x += -3, B := 1",
+        "target: B == 1",
+    )
+    assert interpret_boolean_program(bounce) == automaton.BpResult(
+        automaton.UNREACHABLE, 1
+    )
+    wide = bounce.replace("[0, 2]", "[0, 3]")
+    assert interpret_boolean_program(wide) == automaton.BpResult(automaton.REACHABLE, 2)
+
+
+def test_interpreter_assignment_after_addition():
+    jump = _bp(
+        "var x in [0, 2] init 0",
+        "rule jump: true -> x += 2, x := 1",
+        "target: x == 1",
+    )
+    assert interpret_boolean_program(jump) == automaton.BpResult(automaton.REACHABLE, 2)
+    # the += is range-checked before := overwrites it
+    assert interpret_boolean_program(jump.replace("[0, 2]", "[0, 1]")) == (
+        automaton.BpResult(automaton.UNREACHABLE, 1)
+    )
+    # x only ever takes the values 0 and 1
+    never_two = jump.replace("target: x == 1", "target: x == 2")
+    assert interpret_boolean_program(never_two) == automaton.BpResult(
+        automaton.UNREACHABLE, 2
+    )
+
+
+def test_interpreter_offset_ranges_pack_without_collisions():
+    # y fills its whole range [3, 5] from a non-zero init, so a stride or
+    # offset error in the packed codes merges states and changes the count
+    grid = _bp(
+        "var y in [3, 5] init 5",
+        "var z in [-2, 2] init -2",
+        "rule up: true -> z += 1",
+        "rule down: true -> y += -1",
+        "target: y == 3 && z == 2",
+    )
+    assert interpret_boolean_program(grid) == automaton.BpResult(automaton.REACHABLE, 15)
+    assert interpret_boolean_program(grid, 13) == automaton.BpResult(
+        automaton.INCONCLUSIVE, 14
+    )
+    # the target is tested before the budget
+    assert interpret_boolean_program(grid, 14) == automaton.BpResult(
+        automaton.REACHABLE, 15
+    )
+    below = grid.replace("y == 3 && z == 2", "y == 2")
+    assert interpret_boolean_program(below) == automaton.BpResult(
+        automaton.UNREACHABLE, 15
+    )
+
+
+def test_interpreter_target_names_some_variables():
+    pair = _bp(
+        "var x in [0, 3] init 0",
+        "var y in [0, 3] init 0",
+        "rule step: true -> x += 1, y += 1",
+        "target: x == 2",
+    )
+    assert interpret_boolean_program(pair) == automaton.BpResult(automaton.REACHABLE, 3)
+    at_start = pair.replace("x == 2", "y == 0")
+    assert interpret_boolean_program(at_start) == automaton.BpResult(
+        automaton.REACHABLE, 1
+    )
+
+
+def test_interpreter_exact_on_wide_codes():
+    big = 2**70
+    inst = IlpInstance(coeffs=((big, -1),), rhs=(big,), var_names=("x1", "x2"))
+    text = emit_boolean_program(inst)
+    ranges = [v.hi - v.lo + 1 for v in parse_boolean_program(text).variables]
+    assert ranges == [12 * big + 1, 2]  # state codes run past 2**64
+    assert interpret_boolean_program(text) == automaton.BpResult(automaton.REACHABLE, 7)
 
 
 def test_bp_parse_errors():

@@ -189,6 +189,16 @@ def test_verify_shipped_instances(capsys, instance_dir):
         assert report["total_breaches"] == 0
 
 
+def test_verify_reports_the_work_of_both_searches(capsys, instance_dir):
+    code, report, _ = run_json(
+        capsys, "verify", str(instance_dir / "example.ilp"), "--random", "3", "--box", "4"
+    )
+    assert code == 0
+    for summary in report["results"]:
+        assert summary["automaton_states"] > 0, summary
+        assert summary["program_states"] > 0, summary
+
+
 def test_verify_random_batch(capsys):
     code, report, _ = run_json(
         capsys, "verify", "--random", "25", "--seed", "3", "--box", "5"
