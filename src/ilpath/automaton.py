@@ -36,7 +36,6 @@ UNREACHABLE = "unreachable"
 # the residue bound check_feasible decides on; see steinitz_bounds
 BOUND_RULE = "steinitz: d * max(max|a_j|, |b_j|), d = min(m, n+1)"
 
-DEFAULT_MULTIPLIER = 2
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_EXPORT_STATES = 10_000
 
@@ -45,21 +44,19 @@ class StateLimitExceeded(IlpError):
     """The explicit state budget ran out before the search finished."""
 
 
-def residue_bounds(inst: IlpInstance, multiplier: int = DEFAULT_MULTIPLIER) -> tuple[int, ...]:
-    """Per-constraint residue bound ``multiplier * (n+1) * max(max|a_j|, |b_j|)``.
+def residue_bounds(inst: IlpInstance) -> tuple[int, ...]:
+    """Per-constraint residue bound ``2 * (n+1) * max(max|a_j|, |b_j|)``.
 
     This is the paper's construction, which sizes `CounterAutomaton`,
     `schedule_to_word`, `export_automaton` and `emit_boolean_program`.  The
     ``n+1`` factor makes room for the right-hand-side column, so every
-    solution keeps a bounded run at the default multiplier.  Residues are
-    signed; the bound caps their absolute value.  For any multiplier it
-    contains `steinitz_bounds`, on which `check_feasible` decides.
+    solution keeps a bounded run.  Residues are signed; the bound caps their
+    absolute value.  It contains `steinitz_bounds`, on which `check_feasible`
+    decides.
     """
-    if multiplier < 1:
-        raise IlpError("multiplier must be at least 1")
     n = inst.num_vars
     return tuple(
-        multiplier * (n + 1) * max(inst.max_abs_coeff(j), abs(inst.rhs[j - 1]))
+        2 * (n + 1) * max(inst.max_abs_coeff(j), abs(inst.rhs[j - 1]))
         for j in range(1, inst.num_constraints + 1)
     )
 
@@ -93,11 +90,10 @@ class CounterAutomaton:
     """The transition structure: columns, right-hand side and bounds."""
 
     inst: IlpInstance
-    multiplier: int = DEFAULT_MULTIPLIER
 
     @cached_property
     def bounds(self) -> tuple[int, ...]:
-        return residue_bounds(self.inst, self.multiplier)
+        return residue_bounds(self.inst)
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:
@@ -148,9 +144,9 @@ class CounterAutomaton:
         return state is not None and self.is_final(state)
 
 
-def step(inst: IlpInstance, state, symbol: str, multiplier: int = DEFAULT_MULTIPLIER):
+def step(inst: IlpInstance, state, symbol: str):
     """One-off transition; see `CounterAutomaton.step`."""
-    return CounterAutomaton(inst, multiplier).step(state, symbol)
+    return CounterAutomaton(inst).step(state, symbol)
 
 
 @dataclass(frozen=True)
@@ -213,29 +209,23 @@ def parikh(word: Sequence[str], var_names: Sequence[str]) -> tuple[int, ...]:
     return tuple(counts[name] for name in var_names)
 
 
-def schedule_to_word(
-    inst: IlpInstance, trace: ScheduleTrace, multiplier: int = DEFAULT_MULTIPLIER
-) -> tuple[str, ...]:
+def schedule_to_word(inst: IlpInstance, trace: ScheduleTrace) -> tuple[str, ...]:
     """Turn a counter schedule into an accepted word.
 
-    The increment steps map, in order, to their variable symbols; the 'b'
-    symbol is inserted at the earliest position at which every prefix stays
-    within the residue bounds.  At the default multiplier the front always
-    works, because schedule prefixes obey the same bound that sizes the
-    automaton.
+    The word is the 'b' symbol followed by the increment steps, in order, as
+    their variable symbols.  Schedule prefixes obey the paper residue bounds
+    that size the automaton, so the word is accepted; a schedule whose word
+    leaves those bounds raises `IlpError`.
     """
-    machine = CounterAutomaton(inst, multiplier)
-    body = [
+    word = (RESERVED_SYMBOL,) + tuple(
         inst.var_names[step - 1] for step in trace.steps if step != REDUCE
-    ]
-    for position in range(len(body) + 1):
-        word = tuple(body[:position]) + (RESERVED_SYMBOL,) + tuple(body[position:])
-        if machine.accepts(word):
-            return word
-    raise IlpError(
-        "no placement of the 'b' symbol keeps the word within the residue "
-        "bounds; the bound multiplier is too small for this solution"
     )
+    if not CounterAutomaton(inst).accepts(word):
+        raise IlpError(
+            "the schedule word leaves the paper residue bounds "
+            f"{list(residue_bounds(inst))}"
+        )
+    return word
 
 
 # --------------------------------------------------------------------------
@@ -252,16 +242,15 @@ class AutomatonGraph:
 
 
 def export_automaton(
-    inst: IlpInstance,
-    multiplier: int = DEFAULT_MULTIPLIER,
-    max_states: int = DEFAULT_EXPORT_STATES,
+    inst: IlpInstance, *, max_states: int = DEFAULT_EXPORT_STATES
 ) -> AutomatonGraph:
-    """Enumerate the reachable state graph, breadth first.
+    """Enumerate the reachable state graph on the paper residue bounds,
+    breadth first.
 
     The reachable space is exponential in general, hence the hard
     ``max_states`` gate; exceeding it raises `StateLimitExceeded`.
     """
-    machine = CounterAutomaton(inst, multiplier)
+    machine = CounterAutomaton(inst)
     index = {machine.initial: 0}
     states = [machine.initial]
     transitions = []
@@ -335,9 +324,10 @@ def automaton_to_text(ag: AutomatonGraph) -> str:
 # update that would leave a variable's range disables the rule.
 
 
-def emit_boolean_program(inst: IlpInstance, multiplier: int = DEFAULT_MULTIPLIER) -> str:
-    """Print the instance as a BP-v1 guarded-command program."""
-    bounds = residue_bounds(inst, multiplier)
+def emit_boolean_program(inst: IlpInstance) -> str:
+    """Print the instance as a BP-v1 guarded-command program whose variable
+    ranges are the paper residue bounds."""
+    bounds = residue_bounds(inst)
     lines = ["bp 1"]
     for j in range(1, inst.num_constraints + 1):
         lines.append(f"var r{j} in [-{bounds[j - 1]}, {bounds[j - 1]}] init 0")

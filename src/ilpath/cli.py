@@ -88,7 +88,11 @@ class _Report:
                 print(f"{indent}{key}:", file=stream)
             for k, v in value.items():
                 self._render(v, indent + ("  " if key is not None else ""), k, stream)
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        elif isinstance(value, list) and value and (
+            isinstance(value[0], (dict, list))
+            # multi-word strings joined by spaces would run together
+            or any(isinstance(v, str) and any(map(str.isspace, v)) for v in value)
+        ):
             print(f"{indent}{key}:", file=stream)
             for v in value:
                 self._render(v, indent + "  ", stream=stream)
@@ -158,13 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="ILP-v1 instance file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    def add_multiplier(p):
-        p.add_argument(
-            "--multiplier", type=int, default=automaton.DEFAULT_MULTIPLIER,
-            help="multiplier of the paper's residue bound that sizes the "
-            "exported machine (default %(default)s)",
-        )
-
     def add_search_opts(p):
         p.add_argument(
             "--max-states", type=_non_negative_int,
@@ -196,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--export", action="store_true",
                    help="export the state graph (the default and only action)")
-    add_multiplier(p)
     p.add_argument(
         "--max-states", type=_non_negative_int, default=automaton.DEFAULT_EXPORT_STATES,
         help="refuse to export more states than this (default %(default)s)",
@@ -206,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-bp", help="print the BP-v1 guarded-command program")
     add_common(p)
-    add_multiplier(p)
     p.add_argument("-o", "--output", help="write the program here instead of stdout")
 
     p = sub.add_parser("oracle", help="brute-force solutions inside a box")
@@ -227,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=_non_negative_int, metavar="N", default=0,
                    help="also verify N random small instances")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
-    add_multiplier(p)
     p.add_argument("--max-states", type=_non_negative_int,
                    default=automaton.DEFAULT_MAX_STATES)
 
@@ -304,7 +298,7 @@ def _cmd_automaton(args, report: _Report) -> int:
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     try:
-        ag = automaton.export_automaton(inst, args.multiplier, args.max_states)
+        ag = automaton.export_automaton(inst, max_states=args.max_states)
     except automaton.StateLimitExceeded as exc:
         report.set(error=str(exc))
         return EXIT_INCONCLUSIVE
@@ -322,7 +316,7 @@ def _cmd_automaton(args, report: _Report) -> int:
 def _cmd_emit_bp(args, report: _Report) -> int:
     inst = _load_instance(args.file)
     report.instance_summary(inst)
-    text = automaton.emit_boolean_program(inst, args.multiplier)
+    text = automaton.emit_boolean_program(inst)
     report.set(bytes=len(text.encode()))
     _write_or_print(text, args.output, report, "program")
     return EXIT_FEASIBLE
@@ -360,7 +354,7 @@ def _cmd_oracle(args, report: _Report) -> int:
 def verify_instance(
     inst: IlpInstance,
     box: int,
-    multiplier: int = automaton.DEFAULT_MULTIPLIER,
+    *,
     max_states: int = automaton.DEFAULT_MAX_STATES,
 ) -> dict:
     """Full cross-check pipeline for one instance.
@@ -369,10 +363,10 @@ def verify_instance(
     through graph construction, validation, decomposition, width and
     occupancy checks, and the schedule-to-word round trip; then compares
     the `check_feasible` verdict (Steinitz bounds) against the oracle and
-    the reachability of the emitted program (paper bounds at
-    ``multiplier``) against that verdict.  Returns a summary dict with a
-    ``breaches`` list (empty when everything agrees) and the states each
-    search discovered (``automaton_states``, ``program_states``).
+    the reachability of the emitted program (paper residue bounds) against
+    that verdict.  Returns a summary dict with a ``breaches`` list (empty
+    when everything agrees) and the states each search discovered
+    (``automaton_states``, ``program_states``).
     """
     breaches: list[str] = []
     summary: dict = {"breaches": breaches}
@@ -417,7 +411,7 @@ def verify_instance(
         if decomposition.max_label_occupancy(sf.graph, pd) > 2:
             breaches.append(f"{tag}: more than 2 same-label vertices in a bag")
         try:
-            word = automaton.schedule_to_word(inst, trace, multiplier)
+            word = automaton.schedule_to_word(inst, trace)
         except IlpError as exc:
             breaches.append(f"{tag}: bound finding: {exc}")
         else:
@@ -425,7 +419,7 @@ def verify_instance(
                 breaches.append(f"{tag}: schedule word has the wrong letter counts")
 
     bp = automaton.interpret_boolean_program(
-        automaton.emit_boolean_program(inst, multiplier), max_states
+        automaton.emit_boolean_program(inst), max_states
     )
     summary["program_verdict"] = bp.status
     summary["program_states"] = bp.states_explored
@@ -433,7 +427,7 @@ def verify_instance(
     if feas.status != automaton.INCONCLUSIVE and bp.status != automaton.INCONCLUSIVE:
         if not agree:
             breaches.append(
-                f"program reachability ({bp.status}) at multiplier {multiplier} "
+                f"program reachability ({bp.status}) on the paper residue bounds "
                 f"disagrees with the Steinitz-bound search ({feas.status})"
             )
     return summary
@@ -454,7 +448,7 @@ def _cmd_verify(args, report: _Report) -> int:
     total_breaches = 0
     results = []
     for name, inst in runs:
-        summary = verify_instance(inst, args.box, args.multiplier, args.max_states)
+        summary = verify_instance(inst, args.box, max_states=args.max_states)
         summary["name"] = name
         total_breaches += len(summary["breaches"])
         results.append(summary)

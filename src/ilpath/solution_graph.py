@@ -217,11 +217,16 @@ def from_dot(text: str) -> SolutionGraph:
         if not line or line.startswith(("graph ", "}", "//")):
             continue
         if m := _NODE_RE.fullmatch(line):
-            node_labels[int(m.group(1))] = int(m.group(2))
+            vid = int(m.group(1))
+            if vid in node_labels:
+                raise IlpError(f"DOT vertex v{vid} declared twice: {line!r}")
+            node_labels[vid] = int(m.group(2))
         elif m := _EDGE_RE.fullmatch(line):
             u, v, j = int(m.group(1)), int(m.group(2)), int(m.group(3))
             edges.append((min(u, v), max(u, v), j))
         elif m := _ATTR_RE.fullmatch(line):
+            if m.group(1) in attrs:
+                raise IlpError(f"DOT attribute {m.group(1)} declared twice: {line!r}")
             attrs[m.group(1)] = int(m.group(2))
         else:
             raise IlpError(f"unrecognized DOT line: {line!r}")

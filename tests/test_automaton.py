@@ -18,7 +18,7 @@ from ilpath.automaton import (
     step,
 )
 from ilpath.corpus import random_instance
-from ilpath.decomposition import schedule
+from ilpath.decomposition import ScheduleTrace, schedule
 from ilpath.instance import IlpError, IlpInstance, ParseError, Solution, evaluate
 from ilpath.oracle import enumerate_solutions
 
@@ -29,11 +29,8 @@ def parity():
 
 
 def test_residue_bounds_default(example_instance):
-    # multiplier * (n+1) * max(max|a|, |b|) per constraint
+    # 2 * (n+1) * max(max|a|, |b|) per constraint
     assert residue_bounds(example_instance) == (24, 16)
-    assert residue_bounds(example_instance, multiplier=3) == (36, 24)
-    with pytest.raises(IlpError):
-        residue_bounds(example_instance, multiplier=0)
 
 
 def test_steinitz_bounds_exact_values(example_instance, parity):
@@ -177,6 +174,14 @@ def test_schedule_to_word_matched_pair():
     word = schedule_to_word(inst, schedule(inst, Solution((1, 1))))
     assert word == ("b", "x1", "x2")
     assert CounterAutomaton(inst).accepts(word)
+
+
+def test_schedule_to_word_rejects_a_word_outside_the_paper_bounds():
+    # x1 - x2 = 0 has bound 2 * 3 * 1 = 6; seven x1 before any x2 reach 7
+    inst = IlpInstance(coeffs=((1, -1),), rhs=(0,), var_names=("x1", "x2"))
+    trace = ScheduleTrace(2, (1,) * 7 + (2,) * 7, (), (), 7)
+    with pytest.raises(IlpError, match="paper residue bounds"):
+        schedule_to_word(inst, trace)
 
 
 def test_schedule_to_word_round_trip_on_randoms():

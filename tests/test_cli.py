@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ilpath.cli import main
+from ilpath.cli import _Report, main
 from ilpath.solution_graph import from_dot
 
 
@@ -225,6 +225,14 @@ def test_negative_counts_are_usage_errors(capsys, instance_dir, argv):
     assert "must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["automaton", "emit-bp", "verify"])
+def test_multiplier_flag_is_gone(capsys, instance_dir, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, str(instance_dir / "example.ilp"), "--multiplier", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --multiplier" in capsys.readouterr().err
+
+
 def test_verify_needs_some_input(capsys):
     code, _out, err = run(capsys, "verify")
     assert code == 2
@@ -238,3 +246,17 @@ def test_human_and_json_reports_agree(capsys, instance_dir):
     assert f"verdict: {report['verdict']}" in out
     assert f"states_explored: {report['states_explored']}" in out
     assert f"exit_code: {report['exit_code']}" in out
+
+
+def test_human_report_prints_multi_word_items_one_per_line(capsys):
+    report = _Report("verify")
+    report.set(
+        coeff_range=[-2, 3],
+        results=[{"breaches": ["first breach", "second breach"], "witness": ["x1", "b"]}],
+    )
+    report.finish(1)
+    lines = capsys.readouterr().out.splitlines()
+    assert "coeff_range: -2 3" in lines
+    breaches = lines.index("  breaches:")
+    assert lines[breaches + 1 : breaches + 3] == ["    first breach", "    second breach"]
+    assert "  witness: x1 b" in lines

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -159,3 +160,14 @@ def test_dot_keeps_isolated_zero_vertex():
     text = to_dot(g)
     assert 'v0 [label="0"]' in text
     assert from_dot(text).labels == g.labels
+
+
+@pytest.mark.parametrize(
+    "line", ['v1 [label="0"];', "n=5;", "m=2;"], ids=["vertex", "n", "m"]
+)
+def test_from_dot_rejects_a_repeated_declaration(line):
+    inst = IlpInstance(coeffs=((1, -1),), rhs=(0,), var_names=("x1", "x2"))
+    lines = to_dot(build_graph(inst, Solution((1, 1)))).splitlines()
+    lines.insert(-1, "  " + line)
+    with pytest.raises(IlpError, match=re.escape(line)):
+        from_dot("\n".join(lines))
