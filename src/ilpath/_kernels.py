@@ -87,12 +87,12 @@ def automaton_reach(columns, bvec, bounds, max_states):
     return EXHAUSTED, None, discovered
 
 
-def enumerate_box(rows, bvec, box, max_nodes, first_only=False):
+def enumerate_box(rows, bvec, box, max_nodes):
     """Depth-first enumeration of ``[0, box]^n`` with per-constraint pruning.
 
     Returns ``(complete, nodes, solutions)``; ``solutions`` come out in
-    lexicographic order.  ``complete`` is False when the node budget ran out
-    (or, with ``first_only``, when the search stopped at the first hit).
+    lexicographic order.  ``complete`` is False when the node budget ran out,
+    in which case ``solutions`` holds those found before it did.
     """
     n = len(rows[0])
     m = len(rows)
@@ -131,8 +131,6 @@ def enumerate_box(rows, bvec, box, max_nodes, first_only=False):
                 continue
             if k == n - 1:
                 solutions.append(tuple(x))
-                if first_only:
-                    return False
             else:
                 if not descend(k + 1, nxt):
                     return False

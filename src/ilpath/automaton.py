@@ -144,11 +144,6 @@ class CounterAutomaton:
         return state is not None and self.is_final(state)
 
 
-def step(inst: IlpInstance, state, symbol: str):
-    """One-off transition; see `CounterAutomaton.step`."""
-    return CounterAutomaton(inst).step(state, symbol)
-
-
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Outcome of the reachability search on the Steinitz bounds.

@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("automaton", help="export the explicit reachable state graph")
     add_common(p)
-    p.add_argument("--export", action="store_true",
-                   help="export the state graph (the default and only action)")
     p.add_argument(
         "--max-states", type=_non_negative_int, default=automaton.DEFAULT_EXPORT_STATES,
         help="refuse to export more states than this (default %(default)s)",
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force solutions inside a box")
     add_common(p)
-    p.add_argument("--box", type=int, default=oracle.DEFAULT_BOX,
+    p.add_argument("--box", type=_non_negative_int, default=oracle.DEFAULT_BOX,
                    help="per-variable upper bound (default %(default)s)")
     p.add_argument("--max-nodes", type=_non_negative_int,
                    default=oracle.DEFAULT_MAX_NODES)
@@ -218,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file", nargs="?", help="ILP-v1 instance file")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--box", type=int, default=oracle.DEFAULT_BOX)
+    p.add_argument("--box", type=_non_negative_int, default=oracle.DEFAULT_BOX)
     p.add_argument("--random", type=_non_negative_int, metavar="N", default=0,
                    help="also verify N random small instances")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")

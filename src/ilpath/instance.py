@@ -140,14 +140,6 @@ class IlpInstance:
         """Column ``i`` of A (1-based), or ``-b`` for ``i == 0``."""
         return tuple(self.coeff(j, i) for j in range(1, self.num_constraints + 1))
 
-    def pos_vars(self, j: int) -> tuple[int, ...]:
-        """Variable indices with non-negative coefficient in constraint ``j``."""
-        return tuple(i for i in range(1, self.num_vars + 1) if self.coeff(j, i) >= 0)
-
-    def neg_vars(self, j: int) -> tuple[int, ...]:
-        """Variable indices with negative coefficient in constraint ``j``."""
-        return tuple(i for i in range(1, self.num_vars + 1) if self.coeff(j, i) < 0)
-
     def max_abs_coeff(self, j: int) -> int:
         """Largest coefficient magnitude among the variables of constraint ``j``."""
         return max(abs(self.coeff(j, i)) for i in range(1, self.num_vars + 1))
@@ -179,10 +171,6 @@ class Solution:
     @property
     def max_value(self) -> int:
         return max(self.values)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
 
 def _as_values(assignment) -> tuple[int, ...]:

@@ -2,8 +2,9 @@
 
 The oracle is deliberately independent of the graph, decomposition and
 automaton machinery; cross-checks elsewhere rely on that independence.
-A verdict of "infeasible" here always means infeasible *within the box*,
-never unconditionally.
+`enumerate_solutions` is its one entry point.  The statuses below are the
+verdicts of the ``oracle`` command: an empty, complete enumeration means
+infeasible *within the box*, never unconditionally.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ class SolutionSet:
         return len(self.solutions)
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    status: str
-    solution: Solution | None
-    nodes_explored: int
-    box: int
-
-
 def enumerate_solutions(
     inst: IlpInstance, box: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> SolutionSet:
@@ -59,9 +52,7 @@ def enumerate_solutions(
     """
     if box < 0:
         raise IlpError("box bound must be non-negative")
-    complete, nodes, sols = _kernels.enumerate_box(
-        inst.coeffs, inst.rhs, box, max_nodes, first_only=False
-    )
+    complete, nodes, sols = _kernels.enumerate_box(inst.coeffs, inst.rhs, box, max_nodes)
     return SolutionSet(
         instance=inst,
         box=box,
@@ -69,22 +60,6 @@ def enumerate_solutions(
         complete=complete,
         nodes_explored=nodes,
     )
-
-
-def brute_force_feasible(
-    inst: IlpInstance, box: int, max_nodes: int = DEFAULT_MAX_NODES
-) -> BruteForceResult:
-    """Like `enumerate_solutions` but stops at the first hit."""
-    if box < 0:
-        raise IlpError("box bound must be non-negative")
-    complete, nodes, sols = _kernels.enumerate_box(
-        inst.coeffs, inst.rhs, box, max_nodes, first_only=True
-    )
-    if sols:
-        return BruteForceResult(FEASIBLE, Solution(sols[0]), nodes, box)
-    if complete:
-        return BruteForceResult(INFEASIBLE_WITHIN_BOX, None, nodes, box)
-    return BruteForceResult(BUDGET_EXCEEDED, None, nodes, box)
 
 
 def solutions_to_csv(sset: SolutionSet) -> str:

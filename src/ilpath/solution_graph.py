@@ -171,11 +171,11 @@ def sol_of(g: SolutionGraph) -> Solution:
 # --------------------------------------------------------------------------
 # DOT export / import
 #
-# The subset used here is: one `name=value;` graph attribute per line for
-# the label alphabets, one node statement per vertex and one edge statement
-# per edge.  `from_dot` round-trips exactly this subset.
+# The subset used here is: the two graph attributes `n=<int>;` and
+# `m=<int>;` for the label alphabets, one node statement per vertex and one
+# edge statement per edge.  `from_dot` round-trips exactly this subset.
 
-_ATTR_RE = re.compile(r"(\w+)\s*=\s*(\d+)\s*;")
+_ATTR_RE = re.compile(r"([nm])\s*=\s*(\d+)\s*;")
 _NODE_RE = re.compile(r'v(\d+)\s*\[label="(\d+)"(?:,\s*tooltip="([^"]*)")?\]\s*;')
 _EDGE_RE = re.compile(r'v(\d+)\s*--\s*v(\d+)\s*\[label="(\d+)"\]\s*;')
 

@@ -15,7 +15,6 @@ from ilpath.automaton import (
     residue_bounds,
     schedule_to_word,
     steinitz_bounds,
-    step,
 )
 from ilpath.corpus import random_instance
 from ilpath.decomposition import ScheduleTrace, schedule
@@ -44,14 +43,15 @@ def test_steinitz_bounds_exact_values(example_instance, parity):
 
 
 def test_step_examples(example_instance, parity):
-    assert step(example_instance, (0, (0, 0)), "x1") == (0, (-2, 1))
+    assert CounterAutomaton(example_instance).step((0, (0, 0)), "x1") == (0, (-2, 1))
     zero = IlpInstance(coeffs=((1,),), rhs=(0,), var_names=("x1",))
-    assert step(zero, (0, (0,)), "b") == (1, (0,))
-    assert step(parity, (0, (0,)), "b") == (1, (-1,))
+    assert CounterAutomaton(zero).step((0, (0,)), "b") == (1, (0,))
+    step = CounterAutomaton(parity).step
+    assert step((0, (0,)), "b") == (1, (-1,))
     # a second b is disabled
-    assert step(parity, (1, (0,)), "b") is None
+    assert step((1, (0,)), "b") is None
     with pytest.raises(IlpError, match="unknown symbol"):
-        step(parity, (0, (0,)), "nope")
+        step((0, (0,)), "nope")
 
 
 def test_step_kills_out_of_bound_moves(parity):

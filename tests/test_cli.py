@@ -180,6 +180,15 @@ def test_oracle_infeasible_within_box(capsys, instance_dir):
     assert report["verdict"] == "infeasible-within-box"
 
 
+def test_oracle_budget_exceeded_exit_three(capsys, instance_dir):
+    code, report, _ = run_json(
+        capsys, "oracle", str(instance_dir / "example.ilp"), "--max-nodes", "1"
+    )
+    assert code == 3
+    assert report["verdict"] == "budget-exceeded"
+    assert report["complete"] is False
+
+
 def test_verify_shipped_instances(capsys, instance_dir):
     for name in ("example.ilp", "parity.ilp", "zero.ilp", "knapsack.ilp", "rhs.ilp"):
         code, report, _ = run_json(
@@ -214,8 +223,12 @@ def test_verify_random_batch(capsys):
         ("verify", "--random", "-3"),
         ("check", "{example}", "--max-states", "-1"),
         ("oracle", "{example}", "--max-nodes", "-1"),
+        ("oracle", "{example}", "--box", "-1"),
+        ("verify", "{example}", "--box", "-1"),
     ],
-    ids=["verify-random", "check-max-states", "oracle-max-nodes"],
+    ids=[
+        "verify-random", "check-max-states", "oracle-max-nodes", "oracle-box", "verify-box"
+    ],
 )
 def test_negative_counts_are_usage_errors(capsys, instance_dir, argv):
     argv = [a.format(example=instance_dir / "example.ilp") for a in argv]
@@ -225,12 +238,22 @@ def test_negative_counts_are_usage_errors(capsys, instance_dir, argv):
     assert "must be non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["automaton", "emit-bp", "verify"])
-def test_multiplier_flag_is_gone(capsys, instance_dir, subcommand):
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [
+        ("automaton", ["--multiplier", "3"]),
+        ("emit-bp", ["--multiplier", "3"]),
+        ("verify", ["--multiplier", "3"]),
+        ("automaton", ["--export"]),
+    ],
+    ids=["automaton", "emit-bp", "verify", "automaton-export"],
+)
+def test_multiplier_flag_is_gone(capsys, instance_dir, subcommand, flag):
+    """Deleted flags (`--multiplier`, `automaton --export`) are usage errors."""
     with pytest.raises(SystemExit) as exc:
-        main([subcommand, str(instance_dir / "example.ilp"), "--multiplier", "3"])
+        main([subcommand, str(instance_dir / "example.ilp"), *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --multiplier" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_verify_needs_some_input(capsys):

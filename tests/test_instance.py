@@ -149,16 +149,12 @@ def test_extended_column_and_sign_accessors(example_instance):
     assert example_instance.coeff(1, 0) == 0  # -b_1
     assert example_instance.coeff(1, 1) == -2
     assert example_instance.column(1) == (-2, 1)
-    assert example_instance.pos_vars(1) == (2, 3)
-    assert example_instance.neg_vars(1) == (1,)
     assert example_instance.max_abs_coeff(1) == 3
 
 
 def test_solution_type():
     s = Solution((5, 3, 1))
     assert s.max_value == 5
-    assert not s.is_zero
-    assert Solution((0, 0)).is_zero
     with pytest.raises(IlpError):
         Solution((-1,))
 

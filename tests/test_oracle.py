@@ -5,14 +5,7 @@ import pytest
 from ilpath import _kernels
 from ilpath.corpus import random_instance
 from ilpath.instance import IlpError, IlpInstance, evaluate
-from ilpath.oracle import (
-    BUDGET_EXCEEDED,
-    FEASIBLE,
-    INFEASIBLE_WITHIN_BOX,
-    brute_force_feasible,
-    enumerate_solutions,
-    solutions_to_csv,
-)
+from ilpath.oracle import enumerate_solutions, solutions_to_csv
 
 
 def test_enumerate_hand_checked():
@@ -53,22 +46,22 @@ def test_solutions_are_exhaustive_and_exact():
         assert listed == direct
 
 
-def test_brute_force_first_hit():
+def test_first_solution_is_lexicographically_first():
     inst = IlpInstance(coeffs=((1, 1),), rhs=(2,), var_names=("x1", "x2"))
-    res = brute_force_feasible(inst, 3)
-    assert res.status == FEASIBLE
-    assert res.solution.values == (0, 2)  # lexicographically first
+    found = enumerate_solutions(inst, 3)
+    assert found.solutions[0].values == (0, 2)
 
 
-def test_brute_force_box_too_small():
+def test_box_zero_too_small_is_complete_and_empty():
     inst = IlpInstance(coeffs=((1, 1),), rhs=(2,), var_names=("x1", "x2"))
-    assert brute_force_feasible(inst, 0).status == INFEASIBLE_WITHIN_BOX
+    found = enumerate_solutions(inst, 0)
+    assert found.complete
+    assert found.solutions == ()
 
 
-def test_brute_force_zero_rhs_trivial(example_instance):
-    res = brute_force_feasible(example_instance, 6)
-    assert res.status == FEASIBLE
-    assert res.solution.values == (0, 0, 0)
+def test_zero_rhs_first_solution_is_all_zeros(example_instance):
+    found = enumerate_solutions(example_instance, 6)
+    assert found.solutions[0].values == (0, 0, 0)
 
 
 def test_budget_yields_partial_result():
@@ -77,7 +70,9 @@ def test_budget_yields_partial_result():
     assert not found.complete
     assert 0 < len(found.solutions) < 100
     assert list(found.solutions) == sorted(found.solutions, key=lambda s: s.values)
-    assert brute_force_feasible(inst, 9, max_nodes=1).status == BUDGET_EXCEEDED
+    starved = enumerate_solutions(inst, 9, max_nodes=1)
+    assert not starved.complete
+    assert starved.solutions == ()
 
 
 def test_enumerate_box_degenerate_boxes():
@@ -98,9 +93,9 @@ def test_monotone_in_box():
     rng = random.Random(6)
     for _ in range(30):
         inst = random_instance(rng)
-        small = brute_force_feasible(inst, 3)
-        if small.status == FEASIBLE:
-            assert brute_force_feasible(inst, 6).status == FEASIBLE
+        small = enumerate_solutions(inst, 3)
+        if small.solutions:
+            assert small.solutions[0] in enumerate_solutions(inst, 6).solutions
 
 
 def test_negative_box_rejected(example_instance):

@@ -171,3 +171,9 @@ def test_from_dot_rejects_a_repeated_declaration(line):
     lines.insert(-1, "  " + line)
     with pytest.raises(IlpError, match=re.escape(line)):
         from_dot("\n".join(lines))
+
+
+def test_from_dot_rejects_an_unknown_graph_attribute():
+    text = 'graph g {\n n=1;\n m=1;\n foo=7;\n v0 [label="0"];\n}\n'
+    with pytest.raises(IlpError, match=re.escape("foo=7;")):
+        from_dot(text)
