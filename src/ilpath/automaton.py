@@ -12,8 +12,10 @@ target-location reachability gives the identical verdict.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -38,6 +40,17 @@ BOUND_RULE = "steinitz: d * max(max|a_j|, |b_j|), d = min(m, n+1)"
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_EXPORT_STATES = 10_000
+
+# the engines of interpret_boolean_program, as BpResult.engine names them
+SPARSE = "sparse"
+DENSE = "dense"
+# larger code spaces keep interpret_boolean_program on the sparse engine
+_DENSE_MAX_CODES = 1 << 24
+# the most bits the dense engine's rule masks may take together (32 MiB)
+_DENSE_MAX_MASK_BITS = 1 << 28
+# one dense BFS level over a code space of `radix` codes costs about as much
+# time as the sparse engine spends on radix >> 13 states
+_DENSE_LEVEL_COST_SHIFT = 13
 
 
 class StateLimitExceeded(IlpError):
@@ -375,6 +388,7 @@ class BooleanProgram:
 class BpResult:
     status: str  # reachable / unreachable / inconclusive
     states_explored: int
+    engine: str = field(default=SPARSE, compare=False)  # the engine that decided
 
     def __bool__(self) -> bool:
         return self.status == REACHABLE
@@ -467,18 +481,37 @@ def interpret_boolean_program(
 ) -> BpResult:
     """Decide reachability of the target location of a BP-v1 program.
 
-    Every program runs on one generic breadth-first engine, which shares no
-    code with the reachability kernel behind `check_feasible`, so comparing
-    the two verdicts is an independent check.  The parsed program is
-    compiled once to index tuples.  Each state is packed into one mixed-radix
-    integer ``sum((v_k - lo_k) * stride_k)`` with ``stride_k`` the product of
-    the range sizes of the variables declared before ``k``; the visited set
-    holds these codes and the frontier holds one BFS level of
-    ``(code, values)`` pairs.  A rule fires when its guard holds; its updates
-    then run in order, and the rule is disabled as soon as one of them leaves
-    its variable's range.  The target is tested when a state is discovered,
-    before the budget: more than ``max_states`` discovered states (the
-    initial one included) gives ``inconclusive``.
+    The search shares no code with the reachability kernel behind
+    `check_feasible`, so comparing the two verdicts is an independent check.
+    Each state is packed into one mixed-radix integer
+    ``sum((v_k - lo_k) * stride_k)`` with ``stride_k`` the product of the
+    range sizes of the variables declared before ``k``.  A rule fires when
+    its guard holds; its updates then run in order, and the rule is disabled
+    as soon as one of them leaves its variable's range.  The target is tested
+    when a state is discovered, before the budget: more than ``max_states``
+    discovered states (the initial one included) gives ``inconclusive``.
+
+    Two engines run that semantics and ``BpResult.engine`` names the one
+    that decided.  The sparse engine is a level-by-level BFS over a set of
+    codes and answers every question.  The dense engine holds a BFS level
+    and the visited set as ``int`` bitsets over the whole code space, moves
+    a level through a rule with a few masked shifts (see `_dense_exhaust`),
+    and only ever proves ``unreachable``.  With ``radix`` the number of
+    codes and ``cap = radix >> 8``:
+
+    1. if ``radix > 2**24`` or ``cap >= max_states``, only the sparse engine
+       runs;
+    2. otherwise it runs first with budget ``cap``, and its answer stands
+       unless that ends ``inconclusive``;
+    3. then the dense engine exhausts the reachable set and answers
+       ``unreachable`` with its size;
+    4. when the dense engine meets the target, passes ``max_states`` or
+       gives up as the costlier engine, the sparse engine runs again from
+       the start with the full budget.
+
+    So every ``reachable`` and ``inconclusive`` answer, and its count, comes
+    from the sparse engine, and the dense one answers only where the full
+    sparse search would have returned the same count.
     """
     prog = parse_boolean_program(text)
     index = {v.name: k for k, v in enumerate(prog.variables)}
@@ -505,8 +538,26 @@ def interpret_boolean_program(
     if all(initial[k] == value for k, value in target):
         return BpResult(REACHABLE, 1)
     code = sum((v.init - v.lo) * stride for v, stride in zip(prog.variables, strides))
-    visited = {code}
-    frontier = [(code, initial)]
+    start = (code, initial)
+
+    cap = radix >> 8
+    if radix > _DENSE_MAX_CODES or cap >= max_states:
+        return _sparse_search(rules, target, start, max_states)
+    first = _sparse_search(rules, target, start, cap)
+    if first.status != INCONCLUSIVE:
+        return first
+    explored = _dense_exhaust(prog, strides, code, max_states, known=cap)
+    if explored is not None:
+        return BpResult(UNREACHABLE, explored, DENSE)
+    return _sparse_search(rules, target, start, max_states)
+
+
+def _sparse_search(rules, target, start, max_states: int) -> BpResult:
+    """Breadth-first search over a set of packed codes from ``start``, a
+    ``(code, values)`` pair that is not a target state; the frontier holds
+    one level of such pairs."""
+    visited = {start[0]}
+    frontier = [start]
     while frontier:
         next_frontier = []
         for code, state in frontier:
@@ -538,3 +589,138 @@ def interpret_boolean_program(
                         next_frontier.append((succ, tuple(values)))
         frontier = next_frontier
     return BpResult(UNREACHABLE, len(visited))
+
+
+def _tile(bits: int, step: int, count: int) -> int:
+    """OR of ``bits << (i * step)`` for ``i`` in ``range(count)``, in
+    O(log count) big-integer operations."""
+    out = 0
+    shift = 0
+    while count:
+        if count & 1:
+            out |= bits << shift
+            shift += step
+        count >>= 1
+        if count:
+            bits |= bits << step
+            step <<= 1
+    return out
+
+
+def _box_mask(box: Sequence[tuple[int, int]], strides: Sequence[int]) -> int:
+    """Bitset of the codes whose digit ``k`` lies in ``box[k] = (a, b)``
+    for every ``k``."""
+    mask = 1
+    for (a, b), stride in zip(box, strides):
+        if a > b:
+            return 0
+        mask = _tile(mask, stride, b - a + 1) << (a * stride)
+    return mask
+
+
+def _dense_exhaust(
+    prog: BooleanProgram,
+    strides: Sequence[int],
+    start: int,
+    max_states: int,
+    known: int,
+) -> int | None:
+    """Exhaust the states of ``prog`` reachable from code ``start`` on
+    ``int`` bitsets, where bit ``c`` stands for the state with code ``c``.
+
+    Each rule compiles, from the parsed program alone, to pieces
+    ``(mask, shift)``: ``mask`` holds the source codes on which the rule
+    fires with every update in range, and ``shift`` is the change it makes to
+    such a code.  A variable that only ``+=`` touches has its source digit
+    bounded to one interval by the guard and the in-order range checks, and
+    moves by ``offset * stride``.  After a ``:=`` the move depends on the
+    source value, so the rule gets one piece per value that variable may
+    hold.  Every digit stays inside its range, so a shift never carries into
+    the next digit, and one BFS level is ``OR over pieces of
+    shift(frontier & mask)`` less the visited set.
+
+    Returns the number of reachable states, or None when a new state meets
+    the target or the count passes ``max_states``.  It also returns None
+    where the sparse engine is the cheaper one: when the masks would take
+    more than ``_DENSE_MAX_MASK_BITS`` (``:=`` on a wide counter), and once
+    the levels have cost more than the sparse engine spends on the larger of
+    the states found so far and ``known``, a count of states already known
+    to be reachable.  A long thin chain of levels gets there.
+    """
+    index = {v.name: k for k, v in enumerate(prog.variables)}
+    sizes = [v.hi - v.lo + 1 for v in prog.variables]
+    radix = math.prod(sizes)
+
+    def narrow(box, k, a, b):
+        box[k] = (max(box[k][0], a), min(box[k][1], b))
+
+    def box_of(tests):  # source digit intervals that satisfy equality tests
+        box = [(0, size - 1) for size in sizes]
+        for name, value in tests:
+            k = index[name]
+            digit = value - prog.variables[k].lo
+            narrow(box, k, digit, digit)
+        return box
+
+    compiled = []  # (source digit box, shift of the += updates, values after :=)
+    for rule in prog.rules:
+        box = box_of(rule.guard)
+        offset = [0] * len(sizes)
+        assigned: dict[int, int] = {}  # variable -> its value after the last :=
+        for op, name, value in rule.updates:
+            k = index[name]
+            v = prog.variables[k]
+            if op == "+=" and k not in assigned:
+                offset[k] += value
+                narrow(box, k, -offset[k], sizes[k] - 1 - offset[k])
+                continue
+            assigned[k] = value if op == ":=" else assigned[k] + value
+            if not v.lo <= assigned[k] <= v.hi:
+                box[k] = (1, 0)  # the rule never fires
+        if all(a <= b for a, b in box):
+            shift = sum(offset[k] * strides[k] for k in range(len(sizes)) if k not in assigned)
+            compiled.append((box, shift, assigned))
+    pieces_needed = sum(
+        math.prod(box[k][1] - box[k][0] + 1 for k in assigned)
+        for box, _, assigned in compiled
+    )
+    if pieces_needed * radix > _DENSE_MAX_MASK_BITS:
+        return None
+
+    pieces = []
+    for box, shift, assigned in compiled:
+        choices = [
+            [(k, d, (value - prog.variables[k].lo - d) * strides[k])
+             for d in range(box[k][0], box[k][1] + 1)]
+            for k, value in assigned.items()
+        ]
+        for combo in itertools.product(*choices):
+            piece_box = list(box)
+            delta = shift
+            for k, d, move in combo:
+                piece_box[k] = (d, d)
+                delta += move
+            if delta:  # a zero shift leads back to the source state
+                pieces.append((_box_mask(piece_box, strides), delta))
+    target = _box_mask(box_of(prog.target), strides)
+
+    work = 0  # in states the sparse engine would search in the same time
+    visited = frontier = 1 << start
+    count = 1
+    while frontier:
+        reached = 0
+        for mask, delta in pieces:
+            moved = frontier & mask
+            if moved:
+                reached |= moved << delta if delta > 0 else moved >> -delta
+        frontier = reached & ~visited
+        if frontier & target:
+            return None
+        count += frontier.bit_count()
+        if count > max_states:
+            return None
+        work += radix >> _DENSE_LEVEL_COST_SHIFT
+        if work > max(count, known):
+            return None
+        visited |= frontier
+    return count

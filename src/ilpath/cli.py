@@ -363,8 +363,10 @@ def verify_instance(
     the `check_feasible` verdict (Steinitz bounds) against the oracle and
     the reachability of the emitted program (paper residue bounds) against
     that verdict.  Returns a summary dict with a ``breaches`` list (empty
-    when everything agrees) and the states each search discovered
-    (``automaton_states``, ``program_states``).
+    when everything agrees), the states each search discovered
+    (``automaton_states``, ``program_states``) and the engine that decided
+    the program's reachability (``program_engine``: ``sparse`` or
+    ``dense``).
     """
     breaches: list[str] = []
     summary: dict = {"breaches": breaches}
@@ -421,6 +423,7 @@ def verify_instance(
     )
     summary["program_verdict"] = bp.status
     summary["program_states"] = bp.states_explored
+    summary["program_engine"] = bp.engine
     agree = (bp.status == automaton.REACHABLE) == (feas.status == automaton.FEASIBLE)
     if feas.status != automaton.INCONCLUSIVE and bp.status != automaton.INCONCLUSIVE:
         if not agree:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -320,12 +321,12 @@ def test_interpreter_does_not_use_the_kernel(monkeypatch, example_instance, pari
         raise AssertionError("the program check ran the feasibility kernel")
 
     monkeypatch.setattr(_kernels, "automaton_reach", no_kernel)
-    assert interpret_boolean_program(
-        emit_boolean_program(example_instance)
-    ) == automaton.BpResult(automaton.REACHABLE, 5)
-    assert interpret_boolean_program(emit_boolean_program(parity)) == automaton.BpResult(
-        automaton.UNREACHABLE, 10
-    )
+    example = interpret_boolean_program(emit_boolean_program(example_instance))
+    assert example == automaton.BpResult(automaton.REACHABLE, 5)
+    assert example.engine == automaton.SPARSE
+    odd = interpret_boolean_program(emit_boolean_program(parity))
+    assert odd == automaton.BpResult(automaton.UNREACHABLE, 10)
+    assert odd.engine == automaton.DENSE
 
 
 def _bp(*lines):
@@ -409,7 +410,155 @@ def test_interpreter_exact_on_wide_codes():
     text = emit_boolean_program(inst)
     ranges = [v.hi - v.lo + 1 for v in parse_boolean_program(text).variables]
     assert ranges == [12 * big + 1, 2]  # state codes run past 2**64
-    assert interpret_boolean_program(text) == automaton.BpResult(automaton.REACHABLE, 7)
+    result = interpret_boolean_program(text)
+    assert result == automaton.BpResult(automaton.REACHABLE, 7)
+    assert result.engine == automaton.SPARSE  # no bitset spans 2**71 codes
+
+
+def _reference_search(variables, rules, target, max_states):
+    """FIFO search over value tuples with the interpreter's semantics: the
+    target is tested on discovery, before the budget."""
+    names = [name for name, _, _, _ in variables]
+    ranges = {name: (lo, hi) for name, lo, hi, _ in variables}
+
+    def holds(state, tests):
+        return all(state[names.index(name)] == value for name, value in tests)
+
+    start = tuple(init for _, _, _, init in variables)
+    if holds(start, target):
+        return automaton.REACHABLE, 1
+    seen, queue = {start}, collections.deque([start])
+    while queue:
+        state = queue.popleft()
+        for guard, updates in rules:
+            if not holds(state, guard):
+                continue
+            values = dict(zip(names, state))
+            for op, name, value in updates:
+                values[name] = values[name] + value if op == "+=" else value
+                if not ranges[name][0] <= values[name] <= ranges[name][1]:
+                    break
+            else:
+                succ = tuple(values[name] for name in names)
+                if succ not in seen:
+                    seen.add(succ)
+                    if holds(succ, target):
+                        return automaton.REACHABLE, len(seen)
+                    if len(seen) > max_states:
+                        return automaton.INCONCLUSIVE, len(seen)
+                    queue.append(succ)
+    return automaton.UNREACHABLE, len(seen)
+
+
+def _render(variables, rules, target):
+    lines = ["bp 1"]
+    lines += [f"var {name} in [{lo}, {hi}] init {init}" for name, lo, hi, init in variables]
+    for k, (guard, updates) in enumerate(rules):
+        cond = " && ".join(f"{name} == {value}" for name, value in guard) or "true"
+        body = ", ".join(f"{name} {op} {value}" for op, name, value in updates)
+        lines.append(f"rule r{k}: {cond} -> {body or 'skip'}")
+    lines.append("target: " + " && ".join(f"{name} == {value}" for name, value in target))
+    return "\n".join(lines) + "\n"
+
+
+# (variables, rules, reachable target, unreachable target) for each rule shape
+_RULE_SHAPES = {
+    "counter guard": (
+        [("x", 0, 4, 0), ("y", 0, 3, 0)],
+        [((), [("+=", "x", 1)]), ([("x", 4)], [(":=", "x", 0), ("+=", "y", 1)])],
+        [("y", 3), ("x", 2)],
+        [("y", 4)],
+    ),
+    "assign a counter": (
+        [("x", -2, 3, 1), ("y", 0, 4, 0)],
+        [((), [("+=", "x", 2)]), ((), [("+=", "x", -3)]), ((), [(":=", "x", -1), ("+=", "y", 1)])],
+        [("x", 3), ("y", 4)],
+        [("x", 3), ("y", 5)],
+    ),
+    "add after assign, assign after add": (
+        [("x", 0, 6, 0), ("y", 1, 4, 1)],
+        [
+            ((), [(":=", "x", 2), ("+=", "x", 3)]),
+            ((), [("+=", "y", 2), (":=", "y", 1), ("+=", "x", -2)]),
+            ((), [("+=", "y", 1), ("+=", "x", 1)]),
+        ],
+        [("x", 1), ("y", 1)],
+        [("x", 6), ("y", 1)],
+    ),
+    "repeated updates": (
+        [("x", 0, 4, 0), ("z", 0, 1, 0)],
+        [((), [("+=", "x", 3), ("+=", "x", -2)]), ((), [(":=", "z", 1), ("+=", "z", -1), ("+=", "z", 1)])],
+        [("x", 2), ("z", 1)],
+        [("x", 4)],
+    ),
+    "non-zero lo and init": (
+        [("y", 3, 5, 5), ("z", -2, 2, -2)],
+        [((), [("+=", "z", 1)]), ((), [("+=", "y", -1)])],
+        [("y", 3), ("z", 2)],
+        [("y", 2)],
+    ),
+    "target names some variables": (
+        [("x", 0, 3, 0), ("y", 0, 3, 0)],
+        [((), [("+=", "x", 1), ("+=", "y", 1)]), ((), [("+=", "y", 2)])],
+        [("x", 2)],
+        [("x", 3), ("y", 0)],
+    ),
+    "skip": (
+        [("x", 0, 2, 0)],
+        [((), []), ([("x", 1)], []), ((), [("+=", "x", 1)])],
+        [("x", 2)],
+        [("x", 2), ("x", 1)],
+    ),
+    "values out of range": (
+        [("x", 0, 4, 0), ("B", 0, 1, 0)],
+        [
+            ([("x", 7)], [(":=", "B", 1)]),
+            ((), [("+=", "x", 2)]),
+            ([("B", 0)], [(":=", "B", 1), (":=", "x", 9)]),
+            ([("x", 2)], [(":=", "B", 1), ("+=", "x", -1)]),
+        ],
+        [("x", 3), ("B", 1)],
+        [("x", -3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("reachable", [True, False], ids=["reachable", "unreachable"])
+@pytest.mark.parametrize("shape", sorted(_RULE_SHAPES))
+def test_interpreter_matches_a_reference_search(shape, reachable):
+    variables, rules, hit, miss = _RULE_SHAPES[shape]
+    target = hit if reachable else miss
+    text = _render(variables, rules, target)
+    for budget in (0, 1, 2, 3, 7, 50, automaton.DEFAULT_MAX_STATES):
+        status, count = _reference_search(variables, rules, target, budget)
+        result = interpret_boolean_program(text, budget)
+        assert (result.status, result.states_explored) == (status, count), budget
+        # every program here is small enough for the dense engine to decide
+        # each unreachable verdict that fits the budget
+        dense = status == automaton.UNREACHABLE and budget > 0
+        assert result.engine == (automaton.DENSE if dense else automaton.SPARSE), budget
+    assert status == (automaton.REACHABLE if reachable else automaton.UNREACHABLE)
+
+
+def test_interpreter_keeps_the_sparse_engine_where_it_is_cheaper():
+    # `x := 0` needs one mask per value of x: 20,001 masks of 20,001 codes
+    # would take 48 MiB, past the dense engine's 32 MiB
+    wide_assign = _bp(
+        "var x in [0, 20000] init 0",
+        *(f"rule up{2**k}: true -> x += {2**k}" for k in range(15)),
+        "rule reset: true -> x := 0",
+        "target: x == -1",
+    )
+    result = interpret_boolean_program(wide_assign)
+    assert (result, result.engine) == (
+        automaton.BpResult(automaton.UNREACHABLE, 20001), automaton.SPARSE
+    )
+    # one state per level: each dense level scans all 2**16 codes
+    chain = _bp("var x in [0, 65535] init 0", "rule up: true -> x += 1", "target: x == -1")
+    result = interpret_boolean_program(chain)
+    assert (result, result.engine) == (
+        automaton.BpResult(automaton.UNREACHABLE, 2**16), automaton.SPARSE
+    )
 
 
 def test_bp_parse_errors():

@@ -206,6 +206,7 @@ def test_verify_reports_the_work_of_both_searches(capsys, instance_dir):
     for summary in report["results"]:
         assert summary["automaton_states"] > 0, summary
         assert summary["program_states"] > 0, summary
+        assert summary["program_engine"] in ("sparse", "dense"), summary
 
 
 def test_verify_random_batch(capsys):
