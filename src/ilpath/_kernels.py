@@ -16,6 +16,21 @@ REACHED = "reached"
 EXHAUSTED = "exhausted"
 BUDGET = "budget"
 
+# The verdicts and default budgets of the `automaton` and `oracle`
+# searches, which re-export them.  They live here so that the command line
+# can build its parser and map verdicts to exit codes without loading
+# either module.
+FEASIBLE = "feasible"
+INFEASIBLE = "infeasible"  # no solution exists; see automaton.check_feasible
+INCONCLUSIVE = "inconclusive"
+INFEASIBLE_WITHIN_BOX = "infeasible-within-box"
+BUDGET_EXCEEDED = "budget-exceeded"
+
+DEFAULT_MAX_STATES = 5_000_000
+DEFAULT_EXPORT_STATES = 10_000
+DEFAULT_BOX = 10
+DEFAULT_MAX_NODES = 10_000_000
+
 
 def backend_name() -> str:
     """Name of the kernel implementation, as recorded in reports."""

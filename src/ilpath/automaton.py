@@ -17,29 +17,32 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ilpath import _kernels
+from ilpath._kernels import (
+    DEFAULT_EXPORT_STATES,
+    DEFAULT_MAX_STATES,
+    FEASIBLE,
+    INCONCLUSIVE,
+    INFEASIBLE,
+)
 from ilpath.instance import (
+    REDUCE,
     RESERVED_SYMBOL,
     IlpError,
     IlpInstance,
     ParseError,
 )
-from ilpath.decomposition import REDUCE, ScheduleTrace
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"  # no solution exists; see check_feasible
-INCONCLUSIVE = "inconclusive"
+if TYPE_CHECKING:
+    from ilpath.decomposition import ScheduleTrace
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
 
 # the residue bound check_feasible decides on; see steinitz_bounds
 BOUND_RULE = "steinitz: d * max(max|a_j|, |b_j|), d = min(m, n+1)"
-
-DEFAULT_MAX_STATES = 5_000_000
-DEFAULT_EXPORT_STATES = 10_000
 
 # the engines of interpret_boolean_program, as BpResult.engine names them
 SPARSE = "sparse"

@@ -4,27 +4,23 @@ Exit codes: 0 feasible (or all checks passed), 1 infeasible (or a check
 failed), 2 usage or parse error, 3 inconclusive (a search budget ran out).
 Every subcommand builds one report; `--json` prints it as JSON instead of
 the human rendering, and both carry exactly the same values.
+
+Each subcommand imports the library modules it runs when it starts, so a
+process loads only what its subcommand needs; the parser reads its
+defaults from `_kernels` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from ilpath import __version__, _kernels, automaton, corpus, decomposition, oracle
-from ilpath.instance import (
-    IlpError,
-    IlpInstance,
-    ParseError,
-    Solution,
-    evaluate,
-    parse_instance,
-    strip_slack,
-)
-from ilpath.solution_graph import build_graph, sol_of, to_dot, validate_graph
+from ilpath import __version__, _kernels
+
+if TYPE_CHECKING:
+    from ilpath.instance import IlpInstance, Solution
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -32,12 +28,11 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 _STATUS_EXIT = {
-    automaton.FEASIBLE: EXIT_FEASIBLE,
-    automaton.INFEASIBLE: EXIT_INFEASIBLE,
-    automaton.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    oracle.FEASIBLE: EXIT_FEASIBLE,
-    oracle.INFEASIBLE_WITHIN_BOX: EXIT_INFEASIBLE,
-    oracle.BUDGET_EXCEEDED: EXIT_INCONCLUSIVE,
+    _kernels.FEASIBLE: EXIT_FEASIBLE,
+    _kernels.INFEASIBLE: EXIT_INFEASIBLE,
+    _kernels.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    _kernels.INFEASIBLE_WITHIN_BOX: EXIT_INFEASIBLE,
+    _kernels.BUDGET_EXCEEDED: EXIT_INCONCLUSIVE,
 }
 
 
@@ -74,6 +69,8 @@ class _Report:
         self.data["exit_code"] = exit_code
         self.timing("total", time.perf_counter() - self._t0)
         if self.as_json:
+            import json
+
             print(json.dumps(self.data, indent=2))
         else:
             # keep stdout clean for piping whenever an artifact went there
@@ -103,11 +100,15 @@ class _Report:
 
 
 def _load_instance(path: str) -> IlpInstance:
+    from ilpath.instance import parse_instance
+
     with open(path, "r", encoding="utf-8") as handle:
         return parse_instance(handle.read())
 
 
 def _parse_solution(text: str, inst: IlpInstance) -> Solution:
+    from ilpath.instance import IlpError, Solution, evaluate
+
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     try:
         values = tuple(int(p) for p in parts)
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_search_opts(p):
         p.add_argument(
             "--max-states", type=_non_negative_int,
-            default=automaton.DEFAULT_MAX_STATES,
+            default=_kernels.DEFAULT_MAX_STATES,
             help="state budget for the search (default %(default)s)",
         )
 
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("automaton", help="export the explicit reachable state graph")
     add_common(p)
     p.add_argument(
-        "--max-states", type=_non_negative_int, default=automaton.DEFAULT_EXPORT_STATES,
+        "--max-states", type=_non_negative_int, default=_kernels.DEFAULT_EXPORT_STATES,
         help="refuse to export more states than this (default %(default)s)",
     )
     p.add_argument("--format", choices=("dot", "text"), default="dot")
@@ -204,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force solutions inside a box")
     add_common(p)
-    p.add_argument("--box", type=_non_negative_int, default=oracle.DEFAULT_BOX,
+    p.add_argument("--box", type=_non_negative_int, default=_kernels.DEFAULT_BOX,
                    help="per-variable upper bound (default %(default)s)")
     p.add_argument("--max-nodes", type=_non_negative_int,
-                   default=oracle.DEFAULT_MAX_NODES)
+                   default=_kernels.DEFAULT_MAX_NODES)
     p.add_argument("--csv", help="write all solutions found to this CSV file")
 
     p = sub.add_parser(
@@ -216,17 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file", nargs="?", help="ILP-v1 instance file")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--box", type=_non_negative_int, default=oracle.DEFAULT_BOX)
+    p.add_argument("--box", type=_non_negative_int, default=_kernels.DEFAULT_BOX)
     p.add_argument("--random", type=_non_negative_int, metavar="N", default=0,
                    help="also verify N random small instances")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
     p.add_argument("--max-states", type=_non_negative_int,
-                   default=automaton.DEFAULT_MAX_STATES)
+                   default=_kernels.DEFAULT_MAX_STATES)
 
     return parser
 
 
 def _cmd_check(args, report: _Report, want_solution: bool) -> int:
+    from ilpath import automaton
+    from ilpath.instance import strip_slack
+
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     t0 = time.perf_counter()
@@ -250,6 +254,8 @@ def _cmd_check(args, report: _Report, want_solution: bool) -> int:
 
 
 def _cmd_graph(args, report: _Report) -> int:
+    from ilpath.solution_graph import build_graph, to_dot, validate_graph
+
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     sol = _parse_solution(args.solution, inst)
@@ -265,6 +271,8 @@ def _cmd_graph(args, report: _Report) -> int:
 
 
 def _cmd_decompose(args, report: _Report) -> int:
+    from ilpath import decomposition
+
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     sol = _parse_solution(args.solution, inst)
@@ -293,6 +301,8 @@ def _cmd_decompose(args, report: _Report) -> int:
 
 
 def _cmd_automaton(args, report: _Report) -> int:
+    from ilpath import automaton
+
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     try:
@@ -312,6 +322,8 @@ def _cmd_automaton(args, report: _Report) -> int:
 
 
 def _cmd_emit_bp(args, report: _Report) -> int:
+    from ilpath import automaton
+
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     text = automaton.emit_boolean_program(inst)
@@ -321,6 +333,8 @@ def _cmd_emit_bp(args, report: _Report) -> int:
 
 
 def _cmd_oracle(args, report: _Report) -> int:
+    from ilpath import oracle
+
     inst = _load_instance(args.file)
     report.instance_summary(inst)
     t0 = time.perf_counter()
@@ -353,7 +367,7 @@ def verify_instance(
     inst: IlpInstance,
     box: int,
     *,
-    max_states: int = automaton.DEFAULT_MAX_STATES,
+    max_states: int = _kernels.DEFAULT_MAX_STATES,
 ) -> dict:
     """Full cross-check pipeline for one instance.
 
@@ -366,18 +380,30 @@ def verify_instance(
     when everything agrees), the states each search discovered
     (``automaton_states``, ``program_states``) and the engine that decided
     the program's reachability (``program_engine``: ``sparse`` or
-    ``dense``).
+    ``dense``).  ``unchecked`` names each cross-check that a budget
+    skipped: ``oracle box`` when the enumeration stopped before covering
+    the box, ``witness`` and ``bound finding`` when `check_feasible` ended
+    inconclusive, and ``program agreement`` when either search did.
     """
+    from ilpath import automaton, decomposition, oracle
+    from ilpath.instance import IlpError, evaluate
+    from ilpath.solution_graph import build_graph, sol_of, validate_graph
+
     breaches: list[str] = []
+    unchecked: list[str] = []
     summary: dict = {"breaches": breaches}
 
     sset = oracle.enumerate_solutions(inst, box)
     summary["oracle_solutions"] = len(sset.solutions)
     summary["oracle_complete"] = sset.complete
+    if not sset.complete:
+        unchecked.append("oracle box")
 
     feas = automaton.check_feasible(inst, max_states=max_states)
     summary["automaton_verdict"] = feas.status
     summary["automaton_states"] = feas.states_explored
+    if feas.status == automaton.INCONCLUSIVE:
+        unchecked += ["witness", "bound finding"]
     if feas.status == automaton.FEASIBLE:
         values = automaton.parikh(feas.witness, inst.var_names)
         if any(evaluate(inst, values)):
@@ -431,10 +457,18 @@ def verify_instance(
                 f"program reachability ({bp.status}) on the paper residue bounds "
                 f"disagrees with the Steinitz-bound search ({feas.status})"
             )
+    else:
+        unchecked.append("program agreement")
+    summary["unchecked"] = unchecked
     return summary
 
 
 def _cmd_verify(args, report: _Report) -> int:
+    import random
+
+    from ilpath import corpus
+    from ilpath.instance import IlpError
+
     if not args.file and not args.random:
         raise IlpError("verify needs an instance file, --random N, or both")
     runs = []
@@ -479,9 +513,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     report = _Report(args.subcommand, as_json=args.json)
+    from ilpath.instance import IlpError
+
     try:
         code = _COMMANDS[args.subcommand](args, report)
-    except (ParseError, IlpError, OSError) as exc:
+    except (IlpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return report.finish(code)

@@ -15,11 +15,13 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ilpath.instance import IlpError, IlpInstance, Solution, evaluate
+from ilpath.instance import REDUCE, IlpError, IlpInstance, Solution, evaluate
 from ilpath.solution_graph import SolutionGraph, sol_of, validate_graph
 
-#: Step code for a counter reduction; positive codes are increments.
-REDUCE = 0
+# Unused here.  `perfbench/spans.py` looks up every traced module in
+# `sys.modules`, `ilpath.oracle` included, and the benchmark's `decide` and
+# `unary` processes load this layer but never the oracle.
+from ilpath import oracle  # noqa: F401
 
 
 @dataclass(frozen=True)

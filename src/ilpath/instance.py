@@ -15,6 +15,10 @@ from typing import Sequence
 #: Alphabet symbol reserved for the right-hand side; no variable may use it.
 RESERVED_SYMBOL = "b"
 
+#: Step code for a counter reduction in a `decomposition.ScheduleTrace`;
+#: positive codes are increments.
+REDUCE = 0
+
 RELATIONS = ("=", "<=", ">=")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -195,10 +199,6 @@ def evaluate(inst: IlpInstance, assignment) -> tuple[int, ...]:
         sum(row[i] * values[i] for i in range(inst.num_vars)) - b
         for row, b in zip(inst.coeffs, inst.rhs)
     )
-
-
-def is_solution(inst: IlpInstance, assignment) -> bool:
-    return not any(evaluate(inst, assignment))
 
 
 def strip_slack(inst: IlpInstance, assignment) -> tuple[tuple[str, int], ...]:

@@ -14,14 +14,14 @@ import csv
 from dataclasses import dataclass
 
 from ilpath import _kernels
+from ilpath._kernels import (
+    BUDGET_EXCEEDED,
+    DEFAULT_BOX,
+    DEFAULT_MAX_NODES,
+    FEASIBLE,
+    INFEASIBLE_WITHIN_BOX,
+)
 from ilpath.instance import IlpError, IlpInstance, Solution
-
-FEASIBLE = "feasible"
-INFEASIBLE_WITHIN_BOX = "infeasible-within-box"
-BUDGET_EXCEEDED = "budget-exceeded"
-
-DEFAULT_BOX = 10
-DEFAULT_MAX_NODES = 10_000_000
 
 
 @dataclass(frozen=True)

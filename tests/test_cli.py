@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ilpath.cli import _Report, main
+from ilpath import oracle
+from ilpath.cli import _Report, main, verify_instance
 from ilpath.solution_graph import from_dot
 
 
@@ -284,3 +288,49 @@ def test_human_report_prints_multi_word_items_one_per_line(capsys):
     breaches = lines.index("  breaches:")
     assert lines[breaches + 1 : breaches + 3] == ["    first breach", "    second breach"]
     assert "  witness: x1 b" in lines
+
+
+def test_verify_names_the_checks_a_budget_skipped(example_instance, monkeypatch):
+    summary = verify_instance(example_instance, 2, max_states=1)
+    assert summary["breaches"] == []
+    assert summary["automaton_verdict"] == "inconclusive"
+    assert summary["program_verdict"] == "inconclusive"
+    assert summary["unchecked"] == ["witness", "bound finding", "program agreement"]
+
+    assert verify_instance(example_instance, 2)["unchecked"] == []
+    enumerate_solutions = oracle.enumerate_solutions
+    monkeypatch.setattr(
+        oracle, "enumerate_solutions", lambda inst, box: enumerate_solutions(inst, box, 5)
+    )
+    starved = verify_instance(example_instance, 2)
+    assert starved["breaches"] == []
+    assert not starved["oracle_complete"]
+    assert starved["unchecked"] == ["oracle box"]
+
+
+_FRESH_PROCESS_RUNS = [
+    (["check", "example.ilp"], 0, "verdict: feasible"),
+    (["solve", "knapsack.ilp"], 0, "  x1: 2"),
+    (["graph", "example.ilp", "--solution", "5,3,1"], 0, "validated: True"),
+    (["decompose", "example.ilp", "--solution", "5,3,1"], 0, "valid: True"),
+    (["automaton", "parity.ilp", "--format", "text"], 0, "trans q0 b q2"),
+    (["emit-bp", "parity.ilp"], 0, "target: B == 1 && r1 == 0"),
+    (["oracle", "example.ilp", "--box", "6"], 0, "solutions_found: 2"),
+    (["verify", "--random", "2"], 0, "total_breaches: 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, line", _FRESH_PROCESS_RUNS, ids=[r[0][0] for r in _FRESH_PROCESS_RUNS]
+)
+def test_each_subcommand_runs_in_a_fresh_process(instance_dir, argv, exit_code, line):
+    """Every subcommand imports what it runs: in a process that has loaded
+    no library module before, it still exits as expected."""
+    argv = [str(instance_dir / a) if a.endswith(".ilp") else a for a in argv]
+    out = subprocess.run(
+        [sys.executable, "-m", "ilpath", *argv],
+        env={**os.environ, "PYTHONPATH": str(instance_dir.parent / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == exit_code, out.stderr
+    assert line in (out.stdout + out.stderr).splitlines()
