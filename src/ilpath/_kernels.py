@@ -33,7 +33,7 @@ DEFAULT_MAX_NODES = 10_000_000
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation, as recorded in reports."""
+    """Name of the kernel implementation, as benchmark runs record it."""
     return "pure"
 
 
@@ -52,6 +52,7 @@ def automaton_reach(columns, bvec, bounds, max_states):
     """
     n = len(columns)
     m = len(bvec)
+    neg_b = [-b for b in bvec]
     zero = (0,) * m
     start = (0, zero)
     target = (1, zero)
@@ -69,7 +70,7 @@ def automaton_reach(columns, bvec, bounds, max_states):
             else:
                 if used:
                     continue
-                col = [-b for b in bvec]
+                col = neg_b
                 nxt_used = 1
             ok = True
             nr = []

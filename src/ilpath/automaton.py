@@ -60,6 +60,12 @@ class StateLimitExceeded(IlpError):
     """The explicit state budget ran out before the search finished."""
 
 
+def _row_magnitudes(inst: IlpInstance) -> tuple[int, ...]:
+    """``M_j = max(max|a_j|, |b_j|)``: the largest magnitude in row ``j`` of
+    ``[-b | A]``."""
+    return tuple(max(map(abs, row)) for row in zip(*inst.columns))
+
+
 def residue_bounds(inst: IlpInstance) -> tuple[int, ...]:
     """Per-constraint residue bound ``2 * (n+1) * max(max|a_j|, |b_j|)``.
 
@@ -70,11 +76,7 @@ def residue_bounds(inst: IlpInstance) -> tuple[int, ...]:
     absolute value.  It contains `steinitz_bounds`, on which `check_feasible`
     decides.
     """
-    n = inst.num_vars
-    return tuple(
-        2 * (n + 1) * max(inst.max_abs_coeff(j), abs(inst.rhs[j - 1]))
-        for j in range(1, inst.num_constraints + 1)
-    )
+    return tuple(2 * (inst.num_vars + 1) * m_j for m_j in _row_magnitudes(inst))
 
 
 def _steinitz_d(inst: IlpInstance) -> int:
@@ -95,10 +97,7 @@ def steinitz_bounds(inst: IlpInstance) -> tuple[int, ...]:
     with ``|r_j| <= d * M_j``.  That bound never exceeds `residue_bounds`.
     """
     d = _steinitz_d(inst)
-    return tuple(
-        d * max(inst.max_abs_coeff(j), abs(inst.rhs[j - 1]))
-        for j in range(1, inst.num_constraints + 1)
-    )
+    return tuple(d * m_j for m_j in _row_magnitudes(inst))
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,11 @@ class CounterAutomaton:
     def alphabet(self) -> tuple[str, ...]:
         return self.inst.var_names + (RESERVED_SYMBOL,)
 
+    @cached_property
+    def _deltas(self) -> dict[str, tuple[int, ...]]:
+        """Symbol -> the column its step adds; 'b' adds column 0, ``-b``."""
+        return dict(zip((RESERVED_SYMBOL,) + self.inst.var_names, self.inst.columns))
+
     @property
     def initial(self) -> tuple[int, tuple[int, ...]]:
         return (0, (0,) * self.inst.num_constraints)
@@ -130,20 +134,14 @@ class CounterAutomaton:
         if symbol == RESERVED_SYMBOL:
             if used:
                 return None
-            delta = tuple(-b for b in self.inst.rhs)
-            nxt_used = 1
-        else:
-            try:
-                i = self.inst.var_names.index(symbol) + 1
-            except ValueError:
-                raise IlpError(f"unknown symbol {symbol!r}") from None
-            delta = self.inst.column(i)
-            nxt_used = used
-        bounds = self.bounds
+            used = 1
+        delta = self._deltas.get(symbol)
+        if delta is None:
+            raise IlpError(f"unknown symbol {symbol!r}")
         nr = tuple(v + d for v, d in zip(r, delta))
-        if any(abs(v) > bound for v, bound in zip(nr, bounds)):
+        if any(abs(v) > bound for v, bound in zip(nr, self.bounds)):
             return None
-        return (nxt_used, nr)
+        return (used, nr)
 
     def run(self, word: Iterable[str]):
         """Final state after reading ``word`` from the initial state, or
@@ -193,11 +191,10 @@ def check_feasible(
     ``infeasible`` when no solution exists, or ``inconclusive`` when more
     than ``max_states`` states were discovered.
     """
-    columns = [inst.column(i) for i in range(1, inst.num_vars + 1)]
     bounds = steinitz_bounds(inst)
     d = _steinitz_d(inst)
     status, path, states = _kernels.automaton_reach(
-        columns, inst.rhs, bounds, max_states
+        inst.columns[1:], inst.rhs, bounds, max_states
     )
     if status == _kernels.REACHED:
         names = inst.var_names + (RESERVED_SYMBOL,)
@@ -343,20 +340,14 @@ def emit_boolean_program(inst: IlpInstance) -> str:
     for j in range(1, inst.num_constraints + 1):
         lines.append(f"var r{j} in [-{bounds[j - 1]}, {bounds[j - 1]}] init 0")
     lines.append("bit B init 0")
-    for i, name in enumerate(inst.var_names, start=1):
-        updates = [
-            f"r{j} += {inst.coeff(j, i)}"
-            for j in range(1, inst.num_constraints + 1)
-            if inst.coeff(j, i) != 0
-        ]
-        body = ", ".join(updates) if updates else "skip"
-        lines.append(f"rule {name}: true -> {body}")
-    b_updates = [
-        f"r{j} += {-inst.rhs[j - 1]}"
-        for j in range(1, inst.num_constraints + 1)
-        if inst.rhs[j - 1] != 0
+    updates = [
+        [f"r{j} += {a}" for j, a in enumerate(column, start=1) if a != 0]
+        for column in inst.columns
     ]
-    b_updates.append("B := 1")
+    for name, column_updates in zip(inst.var_names, updates[1:]):
+        body = ", ".join(column_updates) if column_updates else "skip"
+        lines.append(f"rule {name}: true -> {body}")
+    b_updates = updates[0] + ["B := 1"]
     lines.append(f"rule {RESERVED_SYMBOL}: B == 0 -> " + ", ".join(b_updates))
     target = " && ".join(
         ["B == 1"] + [f"r{j} == 0" for j in range(1, inst.num_constraints + 1)]

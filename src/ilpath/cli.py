@@ -242,7 +242,6 @@ def _cmd_check(args, report: _Report, want_solution: bool) -> int:
         residue_bounds=list(result.bounds),
         bound_rule=automaton.BOUND_RULE,
         bound_d=result.d,
-        backend=_kernels.backend_name(),
     )
     if result.witness is not None:
         report.set(witness=list(result.witness))
@@ -352,7 +351,6 @@ def _cmd_oracle(args, report: _Report) -> int:
         solutions_found=len(sset.solutions),
         complete=sset.complete,
         nodes_explored=sset.nodes_explored,
-        backend=_kernels.backend_name(),
     )
     if sset.solutions:
         report.set(first_solution=list(sset.solutions[0].values))
@@ -492,7 +490,6 @@ def _cmd_verify(args, report: _Report) -> int:
         total_breaches=total_breaches,
         box=args.box,
         results=results,
-        backend=_kernels.backend_name(),
     )
     return EXIT_FEASIBLE if total_breaches == 0 else EXIT_INFEASIBLE
 

@@ -14,6 +14,7 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ilpath.instance import REDUCE, IlpError, IlpInstance, Solution, evaluate
 from ilpath.solution_graph import SolutionGraph, sol_of, validate_graph
@@ -36,11 +37,10 @@ class ScheduleTrace:
     For a zero right-hand side this keeps ``r_j * s_l == sum_i c_i * a_ji``
     after every step; see `check_schedule_invariants` for the general form.
 
-    The derived views (the properties ``num_reduces``, ``rounds``,
-    ``c_after_reduce`` and ``r_after_reduce``, and ``increment_counts()``)
-    are not stored: every access rescans ``steps`` in O(len(steps)) and
-    builds a fresh value.  Read a view once into a local before indexing
-    it in a loop.
+    The derived views ``num_reduces``, ``rounds``, ``c_after_reduce`` and
+    ``r_after_reduce`` are computed on first read and cached on the trace;
+    they are not fields, so equality, hashing and ``repr`` ignore them.
+    ``increment_counts()`` rescans ``steps`` on every call.
     """
 
     num_vars: int
@@ -49,11 +49,11 @@ class ScheduleTrace:
     r_history: tuple[tuple[int, ...], ...]
     s_l: int
 
-    @property
+    @cached_property
     def num_reduces(self) -> int:
         return sum(1 for s in self.steps if s == REDUCE)
 
-    @property
+    @cached_property
     def rounds(self) -> tuple[tuple[int, ...], ...]:
         """Variable indices incremented before each reduce, in step order."""
         rounds = []
@@ -66,13 +66,13 @@ class ScheduleTrace:
                 current.append(step)
         return tuple(rounds)
 
-    @property
+    @cached_property
     def c_after_reduce(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             c for step, c in zip(self.steps, self.c_history) if step == REDUCE
         )
 
-    @property
+    @cached_property
     def r_after_reduce(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             r for step, r in zip(self.steps, self.r_history) if step == REDUCE
@@ -103,14 +103,14 @@ def schedule(inst: IlpInstance, sol: Solution) -> ScheduleTrace:
     c_hist: list[tuple[int, ...]] = []
     r_hist: list[tuple[int, ...]] = []
 
+    columns = inst.columns
     c = [0] * n
     r = [0] * inst.num_constraints
     for _round in range(s_l):
         for i in range(1, n + 1):
             if c[i - 1] < s[i - 1]:
                 c[i - 1] += s_l
-                col = inst.column(i)
-                r = [rj + aj for rj, aj in zip(r, col)]
+                r = [rj + aj for rj, aj in zip(r, columns[i])]
                 steps.append(i)
                 c_hist.append(tuple(c))
                 r_hist.append(tuple(r))
@@ -412,7 +412,7 @@ def build_special_form(inst: IlpInstance, sol: Solution, trace: ScheduleTrace) -
     ]
     round_sets = [frozenset(rounds[0]) | {0}] + [frozenset(r) for r in rounds[1:]]
     # ext_rows[j-1][i] is the coefficient of column i in constraint j
-    ext_rows = [(-b_j,) + row for b_j, row in zip(inst.rhs, inst.coeffs)]
+    ext_rows = tuple(zip(*inst.columns))
 
     all_targets = []
     all_splits = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 #: Alphabet symbol reserved for the right-hand side; no variable may use it.
@@ -73,7 +74,9 @@ class IlpInstance:
     """The system A x = b with named non-negative integer variables.
 
     ``slack_mask[i]`` is True for variables introduced by inequality
-    conversion; reporting may project them away.
+    conversion; reporting may project them away.  The extended column table
+    `columns` is computed on first read and cached on the instance; it is
+    not a field, so equality, hashing and ``repr`` ignore it.
     """
 
     coeffs: tuple[tuple[int, ...], ...]
@@ -126,27 +129,13 @@ class IlpInstance:
     def num_constraints(self) -> int:
         return len(self.rhs)
 
-    def coeff(self, j: int, i: int) -> int:
-        """Coefficient of column ``i`` in constraint ``j`` (1-based ``j``).
-
-        Column 0 is the right-hand-side pseudo-variable, with coefficient
-        ``-b_j``; columns ``1..n`` are the declared variables.
-        """
-        if not 1 <= j <= self.num_constraints:
-            raise IlpError(f"constraint index {j} out of range")
-        if i == 0:
-            return -self.rhs[j - 1]
-        if not 1 <= i <= self.num_vars:
-            raise IlpError(f"variable index {i} out of range")
-        return self.coeffs[j - 1][i - 1]
-
-    def column(self, i: int) -> tuple[int, ...]:
-        """Column ``i`` of A (1-based), or ``-b`` for ``i == 0``."""
-        return tuple(self.coeff(j, i) for j in range(1, self.num_constraints + 1))
-
-    def max_abs_coeff(self, j: int) -> int:
-        """Largest coefficient magnitude among the variables of constraint ``j``."""
-        return max(abs(self.coeff(j, i)) for i in range(1, self.num_vars + 1))
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Columns ``0..n`` of ``[-b | A]``: ``columns[0]`` is ``-b`` and
+        ``columns[i][j-1]`` the coefficient of variable ``i`` in constraint
+        ``j``.  Column 0 is the right-hand side taken as one more column, the
+        label-0 vertex of a solution graph and the 'b' step of the automaton."""
+        return (tuple(-b for b in self.rhs),) + tuple(zip(*self.coeffs))
 
     def coefficient_range(self) -> tuple[int, int, int, int]:
         """(min A, max A, min b, max b), handy for report summaries."""

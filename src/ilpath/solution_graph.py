@@ -78,8 +78,7 @@ def build_graph(inst: IlpInstance, sol: Solution) -> SolutionGraph:
     labels = [0]
     for i in range(1, inst.num_vars + 1):
         labels.extend([i] * sol.values[i - 1])
-    # columns[label][j-1]: coefficient of label in constraint j (label 0: -b_j)
-    columns = [inst.column(i) for i in range(inst.num_vars + 1)]
+    columns = inst.columns
 
     edges = []
     for j in range(1, inst.num_constraints + 1):
@@ -127,9 +126,8 @@ def validate_graph(inst: IlpInstance, g: SolutionGraph) -> GraphVerdict:
         if not 1 <= j <= m:
             return GraphVerdict(False, 2, f"edge ({u}, {v}) has label outside [1, {m}]")
 
-    # labels and edge labels are in range from here on;
-    # columns[label][j-1] is the coefficient of label in constraint j
-    columns = [inst.column(i) for i in range(n + 1)]
+    # labels and edge labels are in range from here on
+    columns = inst.columns
     for u, v, j in g.edges:
         su = columns[g.labels[u]][j - 1]
         sv = columns[g.labels[v]][j - 1]
@@ -197,7 +195,10 @@ def to_dot(g: SolutionGraph, inst: IlpInstance | None = None) -> str:
         if inst is not None:
             tooltip = tooltips.get(label)
             if tooltip is None:
-                signs = ",".join(_sign_char(c) for c in inst.column(label))
+                n = inst.num_vars
+                if not 0 <= label <= n:
+                    raise IlpError(f"vertex {vid} has label {label} outside [0, {n}]")
+                signs = ",".join(_sign_char(c) for c in inst.columns[label])
                 name = "b" if label == 0 else inst.var_names[label - 1]
                 tooltip = tooltips[label] = f', tooltip="{name}: {signs}"'
         lines.append(f'  v{vid} [label="{label}"{tooltip}];')

@@ -274,7 +274,8 @@ def test_emitted_program_reads_back_to_the_instance(corpus):
     skip_rules = zero_rhs = 0
     for name, inst in corpus:
         text = aut.emit_boolean_program(inst)
-        columns = tuple(inst.column(i) for i in range(1, inst.num_vars + 1))
+        # columns of A straight from the rows, not from the table the emitter reads
+        columns = tuple(zip(*inst.coeffs))
         assert _read_back_program(aut.parse_boolean_program(text)) == (
             inst.var_names, columns, inst.rhs, aut.residue_bounds(inst)
         ), name

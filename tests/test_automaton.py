@@ -81,7 +81,7 @@ def test_check_feasible_budget(parity):
 
 def test_kernel_budget_accounting(parity):
     """The budget counts discovered states, the start state included."""
-    cols = [parity.column(1)]
+    cols = parity.columns[1:]
     for budget, discovered in ((1, 2), (2, 3), (3, 4), (5, 6)):
         assert _kernels.automaton_reach(cols, parity.rhs, (8,), budget) == (
             _kernels.BUDGET, None, discovered
@@ -109,7 +109,7 @@ def _accepts(inst, bounds, word):
                 return False
             used, delta = 1, tuple(-b for b in inst.rhs)
         else:
-            delta = inst.column(inst.var_names.index(symbol) + 1)
+            delta = inst.columns[inst.var_names.index(symbol) + 1]
         r = tuple(v + d for v, d in zip(r, delta))
         if any(abs(v) > bound for v, bound in zip(r, bounds)):
             return False

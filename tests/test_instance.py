@@ -144,10 +144,29 @@ def test_zero_rows_are_permitted():
 
 
 def test_extended_column_and_sign_accessors(example_instance):
-    assert example_instance.coeff(1, 0) == 0  # -b_1
-    assert example_instance.coeff(1, 1) == -2
-    assert example_instance.column(1) == (-2, 1)
-    assert example_instance.max_abs_coeff(1) == 3
+    slacked = parse_instance("1 x + 2 y <= 4 ; 3 x - 1 y >= -2 ; 1 x + 1 y = 3")
+    assert slacked.slack_mask == (False, False, True, True)
+    zero_row = IlpInstance(coeffs=((1, -2), (0, 0)), rhs=(3, 0), var_names=("x", "y"))
+    for inst in (example_instance, slacked, zero_row):
+        fresh = IlpInstance(inst.coeffs, inst.rhs, inst.var_names, inst.slack_mask)
+        before = (hash(inst), repr(inst))
+        columns = inst.columns
+        assert columns is inst.columns
+        assert len(columns) == inst.num_vars + 1
+        assert columns[0] == tuple(-b for b in inst.rhs)
+        for i in range(1, inst.num_vars + 1):
+            for j in range(1, inst.num_constraints + 1):
+                assert columns[i][j - 1] == inst.coeffs[j - 1][i - 1]
+        # the cached table is not a field: reading it leaves ==, hash and repr alone
+        assert inst == fresh and fresh == inst
+        assert (hash(inst), repr(inst)) == before == (hash(fresh), repr(fresh))
+    assert slacked.columns[3] == (1, 0, 0) and slacked.columns[4] == (0, -1, 0)
+    assert zero_row.columns == ((-3, 0), (1, 0), (-2, 0))
+    columns = example_instance.columns
+    assert columns[0][0] == 0  # -b_1
+    assert columns[1][0] == -2
+    assert columns[1] == (-2, 1)
+    assert max(abs(column[0]) for column in columns[1:]) == 3
 
 
 def test_solution_type():

@@ -154,6 +154,14 @@ def test_dot_round_trip(example_instance):
     assert sorted(back.edges) == sorted(g.edges)
 
 
+@pytest.mark.parametrize("label", [4, -1])
+def test_dot_tooltips_reject_a_label_outside_the_instance(example_instance, label):
+    g = SolutionGraph(3, 2, (0, label), ())
+    message = f"vertex 1 has label {label} outside [0, 3]"
+    with pytest.raises(IlpError, match=re.escape(message)):
+        to_dot(g, example_instance)
+
+
 def test_dot_keeps_isolated_zero_vertex():
     inst = IlpInstance(coeffs=((1, -1),), rhs=(0,), var_names=("x1", "x2"))
     g = build_graph(inst, Solution((1, 1)))
