@@ -165,10 +165,10 @@ class FeasibilityResult:
     ``bounds`` are `steinitz_bounds` with constant ``d = min(m, n+1)``.  By
     the Steinitz lemma every solution has an accepted word inside them, so
     ``infeasible`` means ``A x = b`` has no solution ``x >= 0``;
-    ``inconclusive`` means the state budget ran out first.  The witness, when
-    present, is a shortest accepted word (ties broken by symbol order:
-    variables in declaration order, then 'b'); its length is
-    ``1 + min sum(x)`` over all solutions.
+    ``inconclusive`` means the budget ran out first.  ``states_explored``
+    counts residues, not automaton states.  The witness, when present, is a
+    shortest accepted word ``u b v``, of length ``1 + min sum(x)``; ``u`` and
+    ``v`` reversed are the least shortest walks to their residues.
     """
 
     status: str
@@ -184,12 +184,12 @@ class FeasibilityResult:
 def check_feasible(
     inst: IlpInstance, *, max_states: int = DEFAULT_MAX_STATES
 ) -> FeasibilityResult:
-    """Decide feasibility by breadth-first reachability on `steinitz_bounds`.
+    """Decide feasibility by a one-sided residue search on `steinitz_bounds`.
 
     The Steinitz lemma puts an accepted word of every solution inside those
     bounds, so the verdict is exact: ``feasible`` with a shortest witness,
     ``infeasible`` when no solution exists, or ``inconclusive`` when more
-    than ``max_states`` states were discovered.
+    than ``max_states`` residues were discovered first.
     """
     bounds = steinitz_bounds(inst)
     d = _steinitz_d(inst)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 feasible (or all checks passed), 1 infeasible (or a check
-failed), 2 usage or parse error, 3 inconclusive (a search budget ran out).
+failed), 2 usage, parse or write error (a closed stdout included),
+3 inconclusive (a search budget ran out).
 Every subcommand builds one report; `--json` prints it as JSON instead of
 the human rendering, and both carry exactly the same values.
 
@@ -13,6 +14,7 @@ defaults from `_kernels` alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -376,7 +378,8 @@ def verify_instance(
     the reachability of the emitted program (paper residue bounds) against
     that verdict.  Returns a summary dict with a ``breaches`` list (empty
     when everything agrees), the states each search discovered
-    (``automaton_states``, ``program_states``) and the engine that decided
+    (``automaton_states`` counts residues of the one-sided decision,
+    ``program_states`` states of the program) and the engine that decided
     the program's reachability (``program_engine``: ``sparse`` or
     ``dense``).  ``unchecked`` names each cross-check that a budget
     skipped: ``oracle box`` when the enumeration stopped before covering
@@ -513,11 +516,16 @@ def main(argv=None) -> int:
     from ilpath.instance import IlpError
 
     try:
-        code = _COMMANDS[args.subcommand](args, report)
+        code = report.finish(_COMMANDS[args.subcommand](args, report))
+        sys.stdout.flush()
     except (IlpError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader is gone: point stdout at os.devnull so that
+            # the interpreter's flush at exit has nothing left to fail on
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return report.finish(code)
+    return code
 
 
 if __name__ == "__main__":

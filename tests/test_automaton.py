@@ -75,20 +75,79 @@ def test_check_feasible_examples(example_instance, parity):
 
 
 def test_check_feasible_budget(parity):
-    res = check_feasible(parity, max_states=3)
+    # the Steinitz bound is 1 * max(|2|, |1|) = 2, so R = {0, 2}: discovering
+    # 2 passes budget 1, while budget 2 would exhaust R
+    res = check_feasible(parity, max_states=1)
     assert res.status == automaton.INCONCLUSIVE
 
 
 def test_kernel_budget_accounting(parity):
-    """The budget counts discovered states, the start state included."""
+    """The budget counts discovered residues, the start state included."""
+    # at bound 8, adding 2 from 0 gives R = {0, 2, 4, 6, 8}, found in that
+    # order; 1 - s is odd for every s in R, so no pair exists.  Budget k < 5
+    # stops at the (k+1)-th residue, and budget 5 and up exhausts R.
     cols = parity.columns[1:]
-    for budget, discovered in ((1, 2), (2, 3), (3, 4), (5, 6)):
+    for budget, discovered in ((1, 2), (2, 3), (3, 4), (4, 5)):
         assert _kernels.automaton_reach(cols, parity.rhs, (8,), budget) == (
             _kernels.BUDGET, None, discovered
         )
-    assert _kernels.automaton_reach(cols, parity.rhs, (8,), 100) == (
-        _kernels.EXHAUSTED, None, 10
+    for budget in (5, 100):
+        assert _kernels.automaton_reach(cols, parity.rhs, (8,), budget) == (
+            _kernels.EXHAUSTED, None, 5
+        )
+
+
+def test_zero_rhs_is_decided_at_the_start_state():
+    zero = IlpInstance(coeffs=((1, -1),), rhs=(0,), var_names=("x1", "x2"))
+    for budget in (0, 1, 5_000_000):
+        res = check_feasible(zero, max_states=budget)
+        assert (res.status, res.witness, res.states_explored) == (
+            automaton.FEASIBLE, ("b",), 1
+        )
+    assert _kernels.automaton_reach(((3,),), (0,), (0,), 0) == (_kernels.REACHED, [1], 1)
+
+
+def test_a_pair_not_yet_proven_shortest_is_inconclusive():
+    """The budget can run out after a pair is found; the result is then
+    inconclusive, never a longer word."""
+    # x1 + 2 x2 = 2 has Steinitz bound 2.  Level 1 discovers 1 (by x1),
+    # whose mate 2 - 1 = 1 is itself: total 2, the word x1 b x1.  Then it
+    # discovers 2 (by x2), whose mate 0 has depth 0: total 1, the word x2 b.
+    # 1 <= 1 + 1 ends the search with 3 residues.
+    inst = IlpInstance(coeffs=((1, 2),), rhs=(2,), var_names=("x1", "x2"))
+    res = check_feasible(inst, max_states=2)
+    assert (res.status, res.witness, res.states_explored) == (automaton.INCONCLUSIVE, None, 3)
+    res = check_feasible(inst, max_states=3)
+    assert (res.status, res.witness, res.states_explored) == (
+        automaton.FEASIBLE, ("x2", "b"), 3
     )
+    # x1 = 4 at bound 4: level 2 pairs 2 with itself, total 4 > 2 + 1, and
+    # only completing level 3 (the residue 3, the 4th) proves it shortest
+    inst = IlpInstance(coeffs=((1,),), rhs=(4,), var_names=("x1",))
+    assert check_feasible(inst, max_states=3).status == automaton.INCONCLUSIVE
+    assert check_feasible(inst, max_states=4).witness == ("x1", "x1", "b", "x1", "x1")
+    # a budget below the unbounded search's count leaves a corpus draw
+    # inconclusive; at that count it gives the same verdict and word
+    rng = random.Random(20250809)
+    for _ in range(40):
+        inst = random_instance(rng, 4, 3, 3, 5)
+        full = check_feasible(inst)
+        last = full.states_explored
+        for budget in sorted({1, 2, 3, 7, 50, 300, last - 1, last} - {0}):
+            res = check_feasible(inst, max_states=budget)
+            if budget < last:
+                assert res.status == automaton.INCONCLUSIVE
+            else:
+                assert (res.status, res.witness) == (full.status, full.witness)
+
+
+def test_one_sided_search_explores_the_residue_set_once():
+    # an infeasible search discovers all of R, whatever the visit order
+    inst = IlpInstance(
+        coeffs=((3, 5, -2), (1, -1, 2)), rhs=(601, 450), var_names=("x1", "x2", "x3")
+    )
+    res = check_feasible(inst)
+    assert (res.status, res.states_explored) == (automaton.INFEASIBLE, 204_458)
 
 
 def test_check_feasible_exact_on_wide_values():
@@ -116,14 +175,32 @@ def _accepts(inst, bounds, word):
     return used == 1 and not any(r)
 
 
+def _least_shortest_walk(inst, bounds, target):
+    """The least, in declaration order, of the shortest variable words whose
+    partial sums stay within ``bounds`` and end at ``target``."""
+    for length in itertools.count():
+        for word in itertools.product(inst.var_names, repeat=length):
+            r = (0,) * inst.num_constraints
+            for symbol in word:
+                delta = inst.columns[inst.var_names.index(symbol) + 1]
+                r = tuple(v + d for v, d in zip(r, delta))
+                if any(abs(v) > bound for v, bound in zip(r, bounds)):
+                    break
+            else:
+                if r == target:
+                    return word
+
+
 def test_witness_is_shortest_and_lex_least():
     """Exhaustive word enumeration on the bounds that decided confirms BFS
-    minimality on tiny systems."""
+    minimality and the tie rule on tiny systems."""
     cases = [
         IlpInstance(coeffs=((3, -2),), rhs=(1,), var_names=("x1", "x2")),
         IlpInstance(coeffs=((1, -1), (1, 1)), rhs=(0, 2), var_names=("x1", "x2")),
         IlpInstance(coeffs=((2, -3),), rhs=(-4,), var_names=("x1", "x2")),
-        # acceptance corpus random[101]: x1 x1 x3 b leaves the Steinitz bound 5
+        # acceptance corpus random[101], bound 5: level 1 is {3, 1, -1} and
+        # level 2 {4, 2, -2}; 4 (x1 x2) is the first residue whose mate
+        # 5 - 4 = 1 (x2) is seen, and total 2 + 1 <= 2 + 1 ends the search
         IlpInstance(coeffs=((3, 1, -1),), rhs=(5,), var_names=("x1", "x2", "x3")),
     ]
     for inst in cases:
@@ -137,15 +214,29 @@ def test_witness_is_shortest_and_lex_least():
             if _accepts(inst, res.bounds, word)
         ]
         assert shorter == []
-        rank = {symbol: k for k, symbol in enumerate(alphabet)}
-        same_length = [
-            word
-            for word in itertools.product(alphabet, repeat=len(res.witness))
-            if _accepts(inst, res.bounds, word)
-        ]
-        # tie-break among shortest words: variables in declaration order, then b
-        assert min(same_length, key=lambda w: [rank[s] for s in w]) == res.witness
-    assert res.witness == ("x1", "x2", "x2", "b")
+        assert _accepts(inst, res.bounds, res.witness)
+        # tie rule: the witness is u b v, u the least shortest walk to its
+        # residue s and v read backwards the least shortest walk to b - s
+        cut = res.witness.index("b")
+        u, v = res.witness[:cut], res.witness[cut + 1 :]
+        s = tuple(map(sum, zip(*(inst.columns[inst.var_names.index(x) + 1] for x in u))))
+        assert _least_shortest_walk(inst, res.bounds, s) == u
+        mate = tuple(b - x for b, x in zip(inst.rhs, s))
+        assert _least_shortest_walk(inst, res.bounds, mate) == v[::-1]
+    assert res.witness == ("x1", "x2", "b", "x2")
+
+
+def test_corpus_witnesses_are_accepted_on_their_bounds():
+    """The half of a witness after 'b' is a search path read backwards; a
+    sign slip there keeps the letter counts but leaves the bounds or misses
+    zero."""
+    rng = random.Random(20250809)
+    for k in range(500):
+        inst = random_instance(rng, 4, 3, 3, 5)
+        res = check_feasible(inst)
+        if res.witness is not None:
+            assert res.witness.count("b") == 1, k
+            assert _accepts(inst, res.bounds, res.witness), k
 
 
 def test_parikh():

@@ -7,6 +7,7 @@ import pytest
 
 from ilpath import oracle
 from ilpath.cli import _Report, main, verify_instance
+from ilpath.instance import parse_instance
 from ilpath.solution_graph import from_dot
 
 
@@ -49,7 +50,7 @@ def test_check_infeasible_exit_one(capsys, instance_dir):
 
 def test_check_inconclusive_exit_three(capsys, instance_dir):
     code, report, _ = run_json(
-        capsys, "check", str(instance_dir / "parity.ilp"), "--max-states", "2"
+        capsys, "check", str(instance_dir / "parity.ilp"), "--max-states", "1"
     )
     assert code == 3
     assert report["verdict"] == "inconclusive"
@@ -290,8 +291,10 @@ def test_human_report_prints_multi_word_items_one_per_line(capsys):
     assert "  witness: x1 b" in lines
 
 
-def test_verify_names_the_checks_a_budget_skipped(example_instance, monkeypatch):
-    summary = verify_instance(example_instance, 2, max_states=1)
+def test_verify_names_the_checks_a_budget_skipped(example_instance, instance_dir, monkeypatch):
+    # b = 0 is decided before any budget test, so starve a b != 0 instance
+    rhs = parse_instance((instance_dir / "rhs.ilp").read_text())
+    summary = verify_instance(rhs, 2, max_states=1)
     assert summary["breaches"] == []
     assert summary["automaton_verdict"] == "inconclusive"
     assert summary["program_verdict"] == "inconclusive"
@@ -334,3 +337,26 @@ def test_each_subcommand_runs_in_a_fresh_process(instance_dir, argv, exit_code, 
     )
     assert out.returncode == exit_code, out.stderr
     assert line in (out.stdout + out.stderr).splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["check", "--json"], ["automaton"]], ids=["check", "json", "automaton"]
+)
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_a_write_error(instance_dir, argv, buffered):
+    """A reader that went away before the run gets exit 2 and one error
+    line, with no traceback and no complaint at interpreter shutdown."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(instance_dir.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "ilpath", argv[0], str(instance_dir / "example.ilp"), *argv[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (2, "error: [Errno 32] Broken pipe\n")
