@@ -33,6 +33,7 @@ from ilpath.instance import (
     IlpError,
     IlpInstance,
     ParseError,
+    _long_literal_error,
 )
 
 if TYPE_CHECKING:
@@ -425,43 +426,46 @@ def parse_boolean_program(text: str) -> BooleanProgram:
         return tuple(tests)
 
     for no, line in lines[1:]:
-        if m := _BP_VAR_RE.fullmatch(line):
-            name, lo, hi, init = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
-            if name in names:
-                raise ParseError(f"duplicate variable {name!r}", no)
-            if not lo <= init <= hi:
-                raise ParseError(f"init value {init} outside [{lo}, {hi}]", no)
-            names.add(name)
-            variables.append(BoolVar(name, lo, hi, init))
-        elif m := _BP_BIT_RE.fullmatch(line):
-            name, init = m.group(1), int(m.group(2))
-            if name in names:
-                raise ParseError(f"duplicate variable {name!r}", no)
-            names.add(name)
-            variables.append(BoolVar(name, 0, 1, init))
-        elif m := _BP_RULE_RE.fullmatch(line):
-            guard = parse_guard(no, m.group(2).strip())
-            updates = []
-            body = m.group(3).strip()
-            if body != "skip":
-                for part in body.split(","):
-                    part = part.strip()
-                    if um := _BP_ADD_RE.fullmatch(part):
-                        op = "+="
-                    elif um := _BP_SET_RE.fullmatch(part):
-                        op = ":="
-                    else:
-                        raise ParseError(f"bad update {part!r}", no)
-                    if um.group(1) not in names:
-                        raise ParseError(f"update on unknown variable {um.group(1)!r}", no)
-                    updates.append((op, um.group(1), int(um.group(2))))
-            rules.append(BoolRule(m.group(1), guard, tuple(updates)))
-        elif line.startswith("target:"):
-            if target is not None:
-                raise ParseError("duplicate target line", no)
-            target = parse_guard(no, line[len("target:"):].strip())
-        else:
-            raise ParseError(f"unrecognized line {line!r}", no)
+        try:
+            if m := _BP_VAR_RE.fullmatch(line):
+                name, lo, hi, init = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
+                if name in names:
+                    raise ParseError(f"duplicate variable {name!r}", no)
+                if not lo <= init <= hi:
+                    raise ParseError(f"init value {init} outside [{lo}, {hi}]", no)
+                names.add(name)
+                variables.append(BoolVar(name, lo, hi, init))
+            elif m := _BP_BIT_RE.fullmatch(line):
+                name, init = m.group(1), int(m.group(2))
+                if name in names:
+                    raise ParseError(f"duplicate variable {name!r}", no)
+                names.add(name)
+                variables.append(BoolVar(name, 0, 1, init))
+            elif m := _BP_RULE_RE.fullmatch(line):
+                guard = parse_guard(no, m.group(2).strip())
+                updates = []
+                body = m.group(3).strip()
+                if body != "skip":
+                    for part in body.split(","):
+                        part = part.strip()
+                        if um := _BP_ADD_RE.fullmatch(part):
+                            op = "+="
+                        elif um := _BP_SET_RE.fullmatch(part):
+                            op = ":="
+                        else:
+                            raise ParseError(f"bad update {part!r}", no)
+                        if um.group(1) not in names:
+                            raise ParseError(f"update on unknown variable {um.group(1)!r}", no)
+                        updates.append((op, um.group(1), int(um.group(2))))
+                rules.append(BoolRule(m.group(1), guard, tuple(updates)))
+            elif line.startswith("target:"):
+                if target is not None:
+                    raise ParseError("duplicate target line", no)
+                target = parse_guard(no, line[len("target:"):].strip())
+            else:
+                raise ParseError(f"unrecognized line {line!r}", no)
+        except ValueError:
+            raise _long_literal_error(text.splitlines()[no - 1], no) from None
 
     if not variables:
         raise ParseError("program declares no variables")

@@ -102,10 +102,14 @@ class _Report:
 
 
 def _load_instance(path: str) -> IlpInstance:
-    from ilpath.instance import parse_instance
+    from ilpath.instance import IlpError, parse_instance
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise IlpError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_instance(text)
 
 
 def _parse_solution(text: str, inst: IlpInstance) -> Solution:

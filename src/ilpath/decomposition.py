@@ -40,7 +40,7 @@ class ScheduleTrace:
     The derived views ``num_reduces``, ``rounds``, ``c_after_reduce`` and
     ``r_after_reduce`` are computed on first read and cached on the trace;
     they are not fields, so equality, hashing and ``repr`` ignore them.
-    ``increment_counts()`` rescans ``steps`` on every call.
+    ``increment_counts()`` and ``residue_splits(inst)`` recompute on every call.
     """
 
     num_vars: int
@@ -81,6 +81,17 @@ class ScheduleTrace:
     def increment_counts(self) -> tuple[int, ...]:
         counts = Counter(s for s in self.steps if s != REDUCE)
         return tuple(counts.get(i, 0) for i in range(1, self.num_vars + 1))
+
+    def residue_splits(self, inst: IlpInstance) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
+        """Per constraint and stage, the exact (positive, negative) residue
+        parts that `build_special_form` rounds to its open-stub targets;
+        empty, like ``open_targets``, for the zero solution."""
+        if not self.num_reduces:
+            return ()
+        return tuple(
+            tuple((Fraction(p, self.s_l), Fraction(q, self.s_l)) for _, p, q in _stage_sums(ext, self))
+            for ext in zip(*inst.columns)
+        )
 
 
 def schedule(inst: IlpInstance, sol: Solution) -> ScheduleTrace:
@@ -201,15 +212,13 @@ class SpecialFormGraph:
     ``0..k`` only touch vertices in blocks ``0..k``.  ``open_targets[j-1]
     [k][i]`` is the signed number of unmatched constraint-``j`` stubs that
     column ``i`` (0 = right-hand side) is allowed to keep after stage
-    ``k+1``; ``residue_splits`` holds the exact positive/negative residue
-    parts the targets were derived from.
+    ``k+1``.
     """
 
     graph: SolutionGraph
     vertex_blocks: tuple[tuple[int, ...], ...]
     edge_blocks: tuple[tuple[int, ...], ...]
     open_targets: tuple[tuple[tuple[int, ...], ...], ...]
-    residue_splits: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
     rhs_in_every_bag: bool
 
 
@@ -248,134 +257,109 @@ class DecompositionVerdict:
         return self.ok
 
 
-def _ceildiv(a: int, b: int) -> int:
-    return -((-a) // b)
+def _stage_sums(ext_coeffs, trace):
+    """Per stage ``k``: the numerators ``a_i * c_i^k`` of columns 0..n, and
+    their sums over ``a_i >= 0`` and over ``a_i < 0`` (``s_l`` times the
+    positive and the negative residue part).  Column 0 (``-b_j``) acts as
+    a variable of value 1 that is incremented once, in round 1."""
+    sums = []
+    for k, c in enumerate(trace.c_after_reduce, start=1):
+        num = [a * x for a, x in zip(ext_coeffs, (trace.s_l - k,) + c)]
+        num_pos = sum(v for a, v in zip(ext_coeffs, num) if a >= 0)
+        sums.append((num, num_pos, sum(num) - num_pos))
+    return sums
 
 
-def _choose_open_targets(ext_coeffs, ext_c_rows, round_sets, s_l):
+def _sweep(side, need, frac, link, refreshed):
+    """Per stage ``k``, in list order, the ``need[k]`` columns of ``side``
+    to bump; a column linked to stage ``k-1`` must have been bumped there.
+
+    Columns refreshed in the stage go first, then ascending index.  If that
+    starves a stage, the side is re-swept preferring the longest surviving
+    chain, which an exchange argument shows succeeds whenever any choice
+    does.
+    """
+    t = len(need)
+    for safe in (False, True):
+        bumped: list[set[int]] = []
+        for k in range(t):
+            avail = [
+                i for i in side
+                if frac[k][i] and (k == 0 or not link[k - 1][i] or i in bumped[k - 1])
+            ]
+            if not 0 <= need[k] <= len(avail):
+                break
+
+            def key(i, k=k):
+                end = k
+                while safe and end < t - 1 and link[end][i]:
+                    end += 1
+                return (k - end, i not in refreshed[k], i)
+
+            bumped.append(set(sorted(avail, key=key)[: need[k]]))
+        else:
+            return bumped
+    raise IlpError("internal error: no admissible open-stub targets")
+
+
+def _choose_open_targets(ext_coeffs, trace, round_sets):
     """Pick the per-stage signed open-stub targets for one constraint.
 
     ``ext_coeffs[i]`` covers columns 0..n (column 0 carries ``-b_j``).
-    Stage ``k`` chooses each target from the floor/ceil pair of
-    ``a_i * c_i^k / s_l`` so that (a) the non-negative columns sum to the
-    ceiling of the positive residue part, (b) the negative columns to the
-    floor of the negative part, and (c) magnitudes never grow on columns
-    not refreshed in the following stage.
+    Stage ``k`` sets each target to the floor of ``a_i * c_i^k / s_l`` or
+    "bumps" it to the ceiling, so that (a) the non-negative columns sum to
+    the ceiling of the positive residue part, (b) the negative columns to
+    the floor of the negative part, and (c) magnitudes never grow on
+    columns not refreshed in the following stage.
 
-    Condition (c) only bites between consecutive stages where a column is
-    fractional on both sides of an unrefreshed boundary without leaving
-    its unit interval; there it chains ceiling bumps (a later bump needs
-    the earlier one on the non-negative side, and the other way round on
-    the negative side).  Each side is therefore swept along its chain
-    direction with exact per-stage bump counts, preferring columns
-    refreshed in the current stage, then ascending index; if that
-    preference ever starves a stage, the side is re-swept preferring the
-    longest surviving chain, which an exchange argument shows succeeds
-    whenever any choice does.
-
-    Returns (targets per stage, (pos, neg) residue parts per stage).
+    Condition (c) only bites where a column is not refreshed at stage
+    ``k+1`` and is fractional at ``k`` and ``k+1`` with the same floor.
+    Both stages being fractional, each ceiling is its floor plus 1, so one
+    link rule serves both signs: a linked non-negative column keeps a bump
+    at ``k+1`` only if it had one at ``k``, and a linked negative column
+    takes a bump at ``k`` only if it keeps one at ``k+1``.  The negative
+    side is thus the non-negative one read backwards, and `_sweep` runs on
+    its stage lists reversed.
     """
-    t = len(ext_c_rows)
+    s_l = trace.s_l
     cols = range(len(ext_coeffs))
     pos = [i for i in cols if ext_coeffs[i] >= 0]
     neg = [i for i in cols if ext_coeffs[i] < 0]
 
-    num = [[ext_coeffs[i] * ext_c_rows[k][i] for i in cols] for k in range(t)]
-    fl = [[v // s_l for v in row] for row in num]
-    ce = [[_ceildiv(v, s_l) for v in row] for row in num]
-    frac = [[f != c for f, c in zip(frow, crow)] for frow, crow in zip(fl, ce)]
-
-    # the positive and negative residue parts of each stage, times s_l
-    num_pos = [sum(row[i] for i in pos) for row in num]
-    num_neg = [sum(row[i] for i in neg) for row in num]
-    need_pos = [
-        _ceildiv(num_pos[k], s_l) - sum(fl[k][i] for i in pos) for k in range(t)
+    sums = _stage_sums(ext_coeffs, trace)
+    t = len(sums)
+    fl = [[v // s_l for v in num] for num, _, _ in sums]
+    frac = [[v % s_l != 0 for v in num] for num, _, _ in sums]
+    need_pos = [-(-p // s_l) - sum(fl[k][i] for i in pos) for k, (_, p, _) in enumerate(sums)]
+    need_neg = [q // s_l - sum(fl[k][i] for i in neg) for k, (_, _, q) in enumerate(sums)]
+    # link[k][i]: condition (c) ties the bumps of column i at stages k and k+1
+    link = [
+        [
+            frac[k][i] and frac[k + 1][i] and fl[k][i] == fl[k + 1][i]
+            and i not in round_sets[k + 1]
+            for i in cols
+        ]
+        for k in range(t - 1)
     ]
-    need_neg = [num_neg[k] // s_l - sum(fl[k][i] for i in neg) for k in range(t)]
-
-    # link[k][i]: condition (c) couples the bumps of column i at stages
-    # k and k+1 (0-based stages)
-    link = [[False] * len(ext_coeffs) for _ in range(max(t - 1, 0))]
-    for k in range(t - 1):
-        for i in cols:
-            if i in round_sets[k + 1] or not (frac[k][i] and frac[k + 1][i]):
-                continue
-            if ext_coeffs[i] >= 0:
-                link[k][i] = ce[k][i] == ce[k + 1][i]
-            else:
-                link[k][i] = fl[k][i] == fl[k + 1][i]
-
-    def chain_end(i, k):
-        while k < t - 1 and link[k][i]:
-            k += 1
-        return k
-
-    def chain_start(i, k):
-        while k > 0 and link[k - 1][i]:
-            k -= 1
-        return k
-
-    def sweep(side, needs, forward, safe):
-        """One greedy pass over the stages; None when a stage starves."""
-        bumped = [set() for _ in range(t)]
-        order = range(t) if forward else range(t - 1, -1, -1)
-        for k in order:
-            if forward:
-                avail = [
-                    i for i in side
-                    if frac[k][i] and (k == 0 or not link[k - 1][i] or i in bumped[k - 1])
-                ]
-            else:
-                avail = [
-                    i for i in side
-                    if frac[k][i] and (k == t - 1 or not link[k][i] or i in bumped[k + 1])
-                ]
-            if not 0 <= needs[k] <= len(avail):
-                return None
-            refreshed = round_sets[k]
-            if safe:
-                reach = (lambda i: chain_end(i, k) - k) if forward else (
-                    lambda i: k - chain_start(i, k)
-                )
-                key = lambda i: (-reach(i), 0 if i in refreshed else 1, i)
-            else:
-                key = lambda i: (0 if i in refreshed else 1, i)
-            bumped[k].update(sorted(avail, key=key)[: needs[k]])
-        return bumped
-
-    def choose_side(side, needs, forward):
-        for safe in (False, True):
-            bumped = sweep(side, needs, forward, safe)
-            if bumped is not None:
-                return bumped
-        raise IlpError("internal error: no admissible open-stub targets")
-
-    # the chains run forward on the non-negative side (a later bump needs
-    # the earlier one) and backward on the negative side
-    bumped_pos = choose_side(pos, need_pos, forward=True)
-    bumped_neg = choose_side(neg, need_neg, forward=False)
-
-    targets = []
-    splits = []
-    for k in range(t):
-        bumps = bumped_pos[k] | bumped_neg[k]
-        targets.append(
-            tuple(ce[k][i] if i in bumps else fl[k][i] for i in cols)
-        )
-        splits.append((Fraction(num_pos[k], s_l), Fraction(num_neg[k], s_l)))
+    bumped_pos = _sweep(pos, need_pos, frac, link, round_sets)
+    bumped_neg = _sweep(neg, need_neg[::-1], frac[::-1], link[::-1], round_sets[::-1])[::-1]
+    targets = [
+        tuple(f + (i in bumped_pos[k] or i in bumped_neg[k]) for i, f in enumerate(fl[k]))
+        for k in range(t)
+    ]
 
     # paranoid re-check of (a), (b), (c); a failure here is a bug
-    for k in range(t):
-        if sum(targets[k][i] for i in pos) != _ceildiv(num_pos[k], s_l):
+    for k, (_num, num_pos, num_neg) in enumerate(sums):
+        if sum(targets[k][i] for i in pos) != -(-num_pos // s_l):
             raise IlpError("internal error: positive open-stub sums are off")
-        if sum(targets[k][i] for i in neg) != num_neg[k] // s_l:
+        if sum(targets[k][i] for i in neg) != num_neg // s_l:
             raise IlpError("internal error: negative open-stub sums are off")
         if k + 1 < t:
             for i in cols:
                 if i not in round_sets[k + 1] and abs(targets[k][i]) < abs(targets[k + 1][i]):
                     raise IlpError("internal error: open-stub magnitudes grew")
 
-    return tuple(targets), tuple(splits)
+    return tuple(targets)
 
 
 def build_special_form(inst: IlpInstance, sol: Solution, trace: ScheduleTrace) -> SpecialFormGraph:
@@ -396,46 +380,30 @@ def build_special_form(inst: IlpInstance, sol: Solution, trace: ScheduleTrace) -
         raise IlpError("trace does not belong to this solution")
 
     n, m = inst.num_vars, inst.num_constraints
-    s_l = trace.s_l
     t = trace.num_reduces
     rhs_nonzero = any(inst.rhs)
 
     if t == 0:
         graph = SolutionGraph(n, m, (0,), ())
-        return SpecialFormGraph(graph, (), (), (), (), rhs_nonzero)
+        return SpecialFormGraph(graph, (), (), (), rhs_nonzero)
 
     rounds = trace.rounds
-    # columns 0..n; the right-hand-side column behaves like a variable with
-    # value 1 that is incremented once, in round 1
-    ext_c_rows = [
-        (s_l - k,) + c for k, c in enumerate(trace.c_after_reduce, start=1)
-    ]
     round_sets = [frozenset(rounds[0]) | {0}] + [frozenset(r) for r in rounds[1:]]
     # ext_rows[j-1][i] is the coefficient of column i in constraint j
     ext_rows = tuple(zip(*inst.columns))
 
-    all_targets = []
-    all_splits = []
-    for ext_coeffs in ext_rows:
-        targets, splits = _choose_open_targets(ext_coeffs, ext_c_rows, round_sets, s_l)
-        all_targets.append(targets)
-        all_splits.append(splits)
+    all_targets = [_choose_open_targets(row, trace, round_sets) for row in ext_rows]
 
     # vertex ids are block-major: v0 first, then stage arrivals in
     # ascending column order
     labels = [0]
     arrivals: list[list[tuple[int, int]]] = []  # per stage: (vid, column)
-    blocks: list[tuple[int, ...]] = []
-    for k in range(1, t + 1):
-        stage: list[tuple[int, int]] = []
-        if k == 1:
-            stage.append((0, 0))
-        for i in sorted(rounds[k - 1]):
-            stage.append((len(labels), i))
+    for k, rnd in enumerate(rounds):
+        arrivals.append([(0, 0)] if k == 0 else [])
+        for i in sorted(rnd):
+            arrivals[-1].append((len(labels), i))
             labels.append(i)
-        arrivals.append(stage)
-        block = [vid for vid, col in stage if col != 0 or rhs_nonzero]
-        blocks.append(tuple(block))
+    blocks = [tuple(vid for vid, col in stage if col or rhs_nonzero) for stage in arrivals]
 
     # open_stubs[j][i] holds [vid, count] stubs in arrival order, oldest
     # first; open_total[j][i] is the sum of their counts
@@ -502,7 +470,6 @@ def build_special_form(inst: IlpInstance, sol: Solution, trace: ScheduleTrace) -
         tuple(blocks),
         tuple(edge_blocks),
         tuple(all_targets),
-        tuple(all_splits),
         rhs_nonzero,
     )
 

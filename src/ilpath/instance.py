@@ -44,6 +44,19 @@ class ParseError(IlpError):
         super().__init__(prefix + message)
 
 
+def _long_literal_error(line: str, line_no: int) -> ParseError:
+    """The error for the first integer literal in ``line`` that ``int()``
+    refuses, as it does past ``sys.get_int_max_str_digits()`` digits; call
+    it once ``int()`` has refused a literal of ``line``."""
+    for match in re.finditer(r"\d+", line):
+        try:
+            int(match.group())
+        except ValueError:
+            break
+    digits = len(match.group())
+    return ParseError(f"integer literal of {digits} digits is too long", line_no, match.start() + 1)
+
+
 def _check_int(value, what: str):
     if isinstance(value, bool) or not isinstance(value, int):
         raise IlpError(f"{what} must be a plain integer, got {value!r}")
@@ -342,9 +355,11 @@ def parse_instance(text: str) -> IlpInstance:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens = _tokenize_line(line, line_no)
-        for group in _split_on_semicolons(tokens):
-            raw.append(_ConstraintParser(group, line_no).parse())
+        try:
+            for group in _split_on_semicolons(_tokenize_line(line, line_no)):
+                raw.append(_ConstraintParser(group, line_no).parse())
+        except ValueError:
+            raise _long_literal_error(line, line_no) from None
 
     if not raw:
         raise ParseError("document contains no constraints")

@@ -92,14 +92,14 @@ def test_criterion_1_worked_example_reproduction(example_instance):
             (0, -2, 1),
             (0, 0, 0),
         )
-        assert tuple(s[0] for s in sf.residue_splits[1]) == (
+        assert tuple(s[0] for s in trace.residue_splits(example_instance)[1]) == (
             Fraction(4, 5),
             Fraction(3, 5),
             Fraction(2, 5),
             Fraction(1, 5),
             0,
         )
-        assert tuple(s[1] for s in sf.residue_splits[1]) == (
+        assert tuple(s[1] for s in trace.residue_splits(example_instance)[1]) == (
             Fraction(-4, 5),
             Fraction(-8, 5),
             Fraction(-2, 5),

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -668,6 +669,18 @@ def test_bp_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_boolean_program("bp 1\nbit B init 0\nwhat is this\ntarget: B == 1\n")
     assert err.value.line == 3
+
+
+def test_bp_literal_past_the_int_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = (limit or 4300) + 1
+    text = f"bp 1\n  var r1 in [-{'9' * digits}, 5] init 0\ntarget: r1 == 0\n"
+    if limit:
+        with pytest.raises(ParseError, match=f"literal of {digits} digits") as err:
+            parse_boolean_program(text)
+        assert (err.value.line, err.value.column) == (2, 15)
+    else:
+        assert parse_boolean_program(text).variables[0].lo == 1 - 10**digits
 
 
 def test_bp_round_trip_structure(example_instance):

@@ -78,6 +78,29 @@ def test_malformed_document_is_usage_error(capsys, tmp_path):
     assert "integer coefficient" in err
 
 
+@pytest.mark.parametrize("subcommand", ["check", "verify"])
+def test_undecodable_file_is_usage_error(capsys, tmp_path, subcommand):
+    bad = tmp_path / "bad.ilp"
+    bad.write_bytes(b"\xff\xfe1 x1 = 1\n")
+    code, _out, err = run(capsys, subcommand, str(bad))
+    assert code == 2
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("subcommand", ["check", "verify"])
+def test_overlong_literal_is_usage_error(capsys, tmp_path, subcommand):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    long = tmp_path / "long.ilp"
+    long.write_text(f"1 x1 = {'9' * ((limit or 4300) + 1)}\n")
+    code, _out, err = run(capsys, subcommand, str(long), "--max-states", "10")
+    if limit:
+        assert code == 2
+        message = f"integer literal of {limit + 1} digits is too long"
+        assert err == f"error: line 1, column 8: {message}\n"
+    else:
+        assert code != 2
+
+
 def test_graph_writes_parseable_dot(capsys, instance_dir, tmp_path):
     out_file = tmp_path / "graph.dot"
     code, report, _ = run_json(

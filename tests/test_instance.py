@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -81,6 +82,24 @@ def test_parse_errors_carry_positions():
 
     with pytest.raises(ParseError, match="expected relation"):
         parse_instance("1 x1 2 x2 = 0")
+
+
+def test_literal_past_the_int_digit_limit_is_a_parse_error():
+    """``int()`` refuses more than ``sys.get_int_max_str_digits()`` digits;
+    such a literal is a parse error at its position.  Where the limit is
+    0 or absent the same text parses."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = (limit or 4300) + 1
+    rhs_text = "1 x1 + 2 x2 = 3\n2 x1 = " + "9" * digits
+    coeff_text = "1 x1 = 0 ; 1 x2 = 1\n  1 x1 + " + "9" * digits + " x2 = 0"
+    if limit:
+        for text, where in ((rhs_text, (2, 8)), (coeff_text, (2, 10))):
+            with pytest.raises(ParseError, match=f"literal of {digits} digits") as err:
+                parse_instance(text)
+            assert (err.value.line, err.value.column) == where
+    else:
+        assert parse_instance(rhs_text).rhs[1] == 10**digits - 1
+        assert parse_instance(coeff_text).coeffs[2][1] == 10**digits - 1
 
 
 def test_standard_form_slack_signs():
